@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -237,17 +238,28 @@ def _parse_roles(text: str) -> dict[str, tuple[Role, Kind]]:
     return out
 
 
+def _non_finite(token: str, var: str, row: int) -> NonNumericCell:
+    return NonNumericCell(
+        f"cell {token!r} in column {var!r} (row {row}) is not finite",
+        variable=var, row=row, value=token,
+    )
+
+
 def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int | None:
     """Parse one trimmed cell. Categorical handled by the caller. Returns None
-    never — raises NonNumericCell on failure."""
+    never — raises NonNumericCell on failure, including on ``nan`` and
+    ``inf``, which would make every statistic over the column non-finite."""
     if kind == Kind.CONTINUOUS:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise NonNumericCell(
                 f"cell {token!r} in column {var!r} (row {row}) is not numeric",
                 variable=var, row=row, value=token,
             ) from None
+        if not math.isfinite(value):
+            raise _non_finite(token, var, row)
+        return value
     if kind == Kind.DISCRETE:
         try:
             value = float(token)
@@ -256,12 +268,16 @@ def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int | Non
                 f"cell {token!r} in column {var!r} (row {row}) is not numeric",
                 variable=var, row=row, value=token,
             ) from None
-        if value != int(value):
+        try:
+            whole = int(value)
+        except (OverflowError, ValueError):
+            raise _non_finite(token, var, row) from None
+        if value != whole:
             raise NonNumericCell(
                 f"cell {token!r} in column {var!r} (row {row}) is not an integer",
                 variable=var, row=row, value=token,
             )
-        return int(value)
+        return whole
     if kind == Kind.BOOLEAN:
         low = token.lower()
         if low in _TRUE_TOKENS:

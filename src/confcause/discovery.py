@@ -24,10 +24,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, Role, VariableMeta
-from .errors import InputError, SingularCovariance, UnknownVariable
-from .stats import partial_corr_from_cov
+from .errors import InputError, UnknownVariable
+from .stats import _fisher_z, partial_corrs_from_covs
 
 logger = logging.getLogger(__name__)
+
+# conditioning sets in a CI tester's first stack; each further stack doubles
+_FIRST_CHUNK = 4
 
 
 class Mark(str, Enum):
@@ -268,9 +271,10 @@ class _Graph:
 class _FisherZTester:
     """Fisher-z tests against a covariance matrix computed once per dataset.
 
-    Results are memoised; ``test`` returns True (independent), False
-    (dependent), or None when the query is untestable (singular submatrix or
-    too few rows for the conditioning size).
+    Results are memoised per (pair, conditioning set): True (independent),
+    False (dependent), or None when the query is untestable (singular
+    submatrix or too few rows for the conditioning size). ``test_count``
+    counts the tests that produced a statistic.
     """
 
     def __init__(self, ds: Dataset, alpha: float) -> None:
@@ -281,32 +285,77 @@ class _FisherZTester:
         self._cache: dict[tuple, bool | None] = {}
         self.test_count = 0
 
-    def test(self, x: str, y: str, cond: tuple[str, ...]) -> bool | None:
-        key = (x, y, cond) if x < y else (y, x, cond)
-        if key in self._cache:
-            return self._cache[key]
-        result = self._evaluate(x, y, cond)
-        self._cache[key] = result
-        return result
+    def first_independent(
+        self, x: str, y: str, subsets: Sequence[tuple[str, ...]]
+    ) -> int | None:
+        """Index of the first conditioning set in ``subsets`` that separates
+        x and y, or None when none does.
 
-    def _evaluate(self, x: str, y: str, cond: tuple[str, ...]) -> bool | None:
-        if self.n <= len(cond) + 3:
-            return None
-        idx = [self._index[x], self._index[y]] + [self._index[c] for c in cond]
-        sub = self._cov[np.ix_(idx, idx)]
-        if sub[0, 0] == 0.0 or sub[1, 1] == 0.0:
-            return True  # constant columns carry no dependence
-        try:
-            rho = partial_corr_from_cov(sub)
-        except SingularCovariance:
-            return None
-        self.test_count += 1
-        if abs(rho) >= 1.0 - 1e-15:
-            return False
-        z = 0.5 * math.log((1.0 + rho) / (1.0 - rho))
-        statistic = math.sqrt(self.n - len(cond) - 3) * z
-        p = math.erfc(abs(statistic) / math.sqrt(2.0))
-        return bool(p > self.alpha)
+        Uncached sets are evaluated in stacks of growing size. Results are
+        then taken in order, exactly as one test at a time would: the sets
+        up to and including the first separating one are cached and
+        counted, and the rest of the stack is dropped.
+        """
+        if y < x:
+            x, y = y, x
+        cache = self._cache
+        pos = 0
+        chunk = _FIRST_CHUNK
+        while pos < len(subsets):
+            key = (x, y, subsets[pos])
+            if key in cache:
+                if cache[key] is True:
+                    return pos
+                pos += 1
+                continue
+            batch: dict[tuple[str, ...], None] = {}
+            for subset in itertools.islice(subsets, pos, None):
+                if (x, y, subset) not in cache:
+                    batch[subset] = None
+                    if len(batch) == chunk:
+                        break
+            results = dict(zip(batch, self._evaluate(x, y, list(batch))))
+            while results:
+                subset = subsets[pos]
+                key = (x, y, subset)
+                if key in cache:
+                    result = cache[key]
+                else:
+                    result, counted = results.pop(subset)
+                    cache[key] = result
+                    self.test_count += counted
+                if result is True:
+                    return pos
+                pos += 1
+            chunk *= 2
+        return None
+
+    def _evaluate(
+        self, x: str, y: str, subsets: list[tuple[str, ...]]
+    ) -> list[tuple[bool | None, bool]]:
+        """(result, counted) per conditioning set, one stacked partial
+        correlation per set size."""
+        out: list[tuple[bool | None, bool]] = [(None, False)] * len(subsets)
+        by_size: dict[int, list[int]] = {}
+        for i, subset in enumerate(subsets):
+            by_size.setdefault(len(subset), []).append(i)
+        ix, iy = self._index[x], self._index[y]
+        constant = self._cov[ix, ix] == 0.0 or self._cov[iy, iy] == 0.0
+        for k, members in by_size.items():
+            if self.n <= k + 3:
+                continue
+            if constant:
+                for i in members:
+                    out[i] = (True, False)  # constant columns carry no dependence
+                continue
+            idx = np.array(
+                [[ix, iy, *(self._index[c] for c in subsets[i])] for i in members]
+            )
+            rhos = partial_corrs_from_covs(self._cov[idx[:, :, None], idx[:, None, :]])
+            for i, rho in zip(members, rhos.tolist()):
+                if not math.isnan(rho):
+                    out[i] = (_fisher_z(rho, self.n, k)[1] > self.alpha, True)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -340,10 +389,9 @@ def _prune_by_neighbors(
                 set(itertools.combinations(cand_u, level))
                 | set(itertools.combinations(cand_v, level))
             )
-            for subset in subsets:
-                if tester.test(u, v, subset) is True:
-                    removals.append((u, v, subset))
-                    break
+            hit = tester.first_independent(u, v, subsets)
+            if hit is not None:
+                removals.append((u, v, subsets[hit]))
         for u, v, subset in removals:
             adj[u].discard(v)
             adj[v].discard(u)
@@ -389,25 +437,16 @@ def _pdsep_prune(
     for u, v in g.sorted_edges():
         if not g.has_edge(u, v):
             continue
-        tried: set[tuple[str, ...]] = set()
-        found: tuple[str, ...] | None = None
+        subsets: dict[tuple[str, ...], None] = {}
         for root in (u, v):
             pool = sorted(_possible_d_sep(g, root) - {u, v})
             for size in range(1, max_cond_size + 1):
-                for subset in itertools.combinations(pool, size):
-                    if subset in tried:
-                        continue
-                    tried.add(subset)
-                    if tester.test(u, v, subset) is True:
-                        found = subset
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is not None:
+                subsets.update(dict.fromkeys(itertools.combinations(pool, size)))
+        order = list(subsets)
+        hit = tester.first_independent(u, v, order)
+        if hit is not None:
             g.remove_edge(u, v)
-            sepsets[frozenset((u, v))] = frozenset(found)
+            sepsets[frozenset((u, v))] = frozenset(order[hit])
             removed_any = True
     return removed_any
 
@@ -914,27 +953,27 @@ def _retest_separated_pairs(
         if v in adj[u] or not sc.allows_adjacency(u, v):
             continue
         recorded = warm_sepsets.get(frozenset((u, v)))
+        pool = sorted((adj[u] | adj[v]) - {u, v})
+        levels: Iterable[list[tuple[str, ...]]]
         if recorded is not None:
-            sizes: Sequence[int] = (len(recorded),)
-            first_try: tuple[str, ...] | None = tuple(sorted(recorded))
+            first_try = tuple(sorted(recorded))
+            levels = [[first_try, *itertools.combinations(pool, len(first_try))]]
         else:
-            sizes = range(max_cond_size + 1)
-            first_try = None
+            levels = (
+                list(itertools.combinations(pool, size))
+                for size in range(max_cond_size + 1)
+            )
         found: tuple[str, ...] | None = None
-        if first_try is not None and tester.test(u, v, first_try) is True:
-            found = first_try
-        else:
-            pool = sorted((set(adj[u]) | set(adj[v])) - {u, v})
-            for size in sizes:
-                for subset in itertools.combinations(pool, size):
-                    if tester.test(u, v, subset) is True:
-                        found = subset
-                        break
+        for subsets in levels:
+            hit = tester.first_independent(u, v, subsets)
+            if hit is not None:
+                found = subsets[hit]
+                # an empty separator does not end the search: the first
+                # non-empty one at a larger size replaces it
                 if found:
                     break
         if found is not None:
-            for name_pair in (frozenset((u, v)),):
-                sepsets[name_pair] = frozenset(found)
+            sepsets[frozenset((u, v))] = frozenset(found)
         else:
             adj[u].add(v)
             adj[v].add(u)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from typing import Mapping
 
 from .dataset import Dataset, Kind, Role, VariableMeta
 from .discovery import Mark, Pag, StructuralConstraints

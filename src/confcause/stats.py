@@ -49,26 +49,64 @@ class EntropyEstimate:
 # correlation
 
 
+def partial_corrs_from_covs(covs: np.ndarray) -> np.ndarray:
+    """Partial correlation of the first two variables given the rest, for
+    each matrix of a ``(B, m, m)`` stack of joint covariance matrices
+    (precision-matrix identity).
+
+    Entries whose matrix is singular (non-finite, or condition number above
+    the limit) are NaN. Each matrix is factorized by the same LAPACK kernel
+    as a lone ``(m, m)`` matrix, so the result does not depend on what else
+    is in the stack.
+    """
+    covs = np.asarray(covs, dtype=np.float64)
+    singular = np.zeros(covs.shape[0], dtype=bool)
+    if covs.shape[1] == 2:
+        num = covs[:, 0, 1]
+        denom = np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
+    else:
+        # the SVD behind cond may fail to converge on non-finite input
+        singular = ~np.isfinite(covs).all(axis=(1, 2))
+        singular[~singular] = np.linalg.cond(covs[~singular]) > _COND_LIMIT
+        prec = np.full_like(covs, np.nan)
+        prec[~singular] = np.linalg.inv(covs[~singular])
+        num = -prec[:, 0, 1]
+        denom = np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(denom == 0.0, 0.0, num / denom)
+    # clamp to [-1, 1] the way min(1, max(-1, r)) does, NaN included
+    r = np.where(r > -1.0, r, -1.0)
+    r = np.where(r < 1.0, r, 1.0)
+    r[singular] = np.nan
+    return r
+
+
 def partial_corr_from_cov(cov: np.ndarray) -> float:
     """Partial correlation of the first two variables given the rest, from
     their joint covariance matrix (precision-matrix identity)."""
-    if cov.shape[0] == 2:
-        denom = math.sqrt(cov[0, 0] * cov[1, 1])
-        if denom == 0.0:
-            return 0.0
-        r = cov[0, 1] / denom
-    else:
-        if not np.all(np.isfinite(cov)) or np.linalg.cond(cov) > _COND_LIMIT:
-            raise SingularCovariance(
-                "covariance submatrix is singular; shrink the conditioning set",
-                size=int(cov.shape[0]),
-            )
-        prec = np.linalg.inv(cov)
-        denom = math.sqrt(prec[0, 0] * prec[1, 1])
-        if denom == 0.0:
-            return 0.0
-        r = -prec[0, 1] / denom
-    return float(min(1.0, max(-1.0, r)))
+    r = float(partial_corrs_from_covs(np.asarray(cov)[np.newaxis])[0])
+    if math.isnan(r):
+        raise SingularCovariance(
+            "covariance submatrix is singular; shrink the conditioning set",
+            size=int(cov.shape[0]),
+        )
+    return r
+
+
+def _fisher_z(rho: float, n: int, k: int) -> tuple[float, float]:
+    """Fisher-z statistic and two-sided p-value for a partial correlation
+    ``rho`` measured on ``n`` rows given ``k`` conditioning variables.
+
+    The z-transform scaled by sqrt(n - k - 3) is asymptotically standard
+    normal under independence; a perfect correlation has an infinite
+    statistic and p-value 0.
+    """
+    if abs(rho) >= 1.0 - 1e-15:
+        return math.inf, 0.0
+    z = 0.5 * math.log((1.0 + rho) / (1.0 - rho))
+    statistic = math.sqrt(n - k - 3) * z
+    # 2 * (1 - Phi(|t|)) == erfc(|t| / sqrt(2))
+    return statistic, math.erfc(abs(statistic) / math.sqrt(2.0))
 
 
 def partial_correlation(
@@ -118,12 +156,7 @@ def fisher_z_test(
             rows=n, conditioning=len(cond),
         )
     rho = partial_correlation(ds, x, y, cond)
-    if abs(rho) >= 1.0 - 1e-15:
-        return CiTestResult(x, y, frozenset(cond), math.inf, 0.0, False)
-    z = 0.5 * math.log((1.0 + rho) / (1.0 - rho))
-    statistic = math.sqrt(n - len(cond) - 3) * z
-    # 2 * (1 - Phi(|t|)) == erfc(|t| / sqrt(2))
-    p_value = math.erfc(abs(statistic) / math.sqrt(2.0))
+    statistic, p_value = _fisher_z(rho, n, len(cond))
     return CiTestResult(
         x=x, y=y, conditioning_set=frozenset(cond),
         statistic=statistic, p_value=p_value,

@@ -73,6 +73,20 @@ class TestLearn:
         assert code == 2
         assert "error" in err or "no such" in err.lower()
 
+    def test_non_finite_cell_is_exit_2(self, chain_files, tmp_path, capsys):
+        data, roles = chain_files
+        lines = data.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "nan"
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["learn", "--data", bad, "--roles", roles, "--out", tmp_path], capsys
+        )
+        assert code == 2
+        assert "'nan'" in err and "row 2" in err
+
 
 class TestDiagnose:
     def test_causal_method_names_the_origin(self, chain_files, tmp_path, capsys):

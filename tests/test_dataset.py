@@ -134,6 +134,16 @@ def test_non_numeric_cell():
         load_dataset("a\nbanana\n", json.dumps(roles))
 
 
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_non_finite_cell_rejected(kind, token):
+    roles = {"a": {"role": "metric", "kind": kind}}
+    with pytest.raises(NonNumericCell) as info:
+        load_dataset(f"a\n1\n{token}\n", json.dumps(roles))
+    assert info.value.details == {"variable": "a", "row": 1, "value": token}
+    assert "row 1" in str(info.value) and "'a'" in str(info.value)
+
+
 def test_concat_requires_matching_schema(loaded):
     other = Dataset(
         loaded.variables,

@@ -178,3 +178,9 @@ def test_full_pipeline_leaves_no_ambiguity():
     resolved = {frozenset((u, v)) for u, v in admg.directed} | set(admg.bidirected)
     assert resolved == pag.adjacencies()
     assert admg.topological_order()  # acyclic by construction
+
+
+def test_annotations_resolve():
+    import typing
+
+    assert typing.get_type_hints(Admg.from_json_dict)["payload"] is typing.Mapping
