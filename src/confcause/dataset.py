@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -35,8 +36,13 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-_TRUE_TOKENS = {"true", "1", "yes", "on"}
-_FALSE_TOKENS = {"false", "0", "no", "off"}
+_BOOLEAN_TOKENS = {
+    "true": 1, "1": 1, "yes": 1, "on": 1,
+    "false": 0, "0": 0, "no": 0, "off": 0,
+}
+_INT64 = np.iinfo(np.int64)
+# every integer of smaller magnitude is exactly a float64
+_EXACT_FLOAT_INTS = 2.0**53
 
 
 class Role(str, Enum):
@@ -163,17 +169,16 @@ class Dataset:
     def dump_table(self, stream: IO[str]) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(self.names)
-        decoded = {}
+        cells = []
         for v in self.variables:
-            col = self.columns[v.name]
+            values = self.columns[v.name].tolist()
             if v.domain is not None:
-                decoded[v.name] = [v.domain[int(c)] for c in col]
+                cells.append(map(v.domain.__getitem__, map(int, values)))
             elif v.kind == Kind.CONTINUOUS:
-                decoded[v.name] = [repr(float(c)) for c in col]
+                cells.append(map(repr, map(float, values)))
             else:
-                decoded[v.name] = [str(int(c)) for c in col]
-        for i in range(self.sample_count):
-            writer.writerow([decoded[n][i] for n in self.names])
+                cells.append(map(str, map(int, values)))
+        writer.writerows(zip(*cells))
 
     def dump_roles(self, stream: IO[str]) -> None:
         payload = {
@@ -245,10 +250,15 @@ def _non_finite(token: str, var: str, row: int) -> NonNumericCell:
     )
 
 
-def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int | None:
-    """Parse one trimmed cell. Categorical handled by the caller. Returns None
-    never — raises NonNumericCell on failure, including on ``nan`` and
-    ``inf``, which would make every statistic over the column non-finite."""
+def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int:
+    """Parse one trimmed cell; categorical handled by the caller. Raises
+    NonNumericCell on failure, including on ``nan`` and ``inf``, which would
+    make every statistic over the column non-finite. A discrete cell written
+    as an integer is parsed exactly; any other numeric form (``3.0``,
+    ``1e3``) must be integral, and the value must fit in int64.
+
+    This is the reference for :func:`_parse_column`, which runs it only on a
+    column its whole-column checks reject."""
     if kind == Kind.CONTINUOUS:
         try:
             value = float(token)
@@ -262,33 +272,78 @@ def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int | Non
         return value
     if kind == Kind.DISCRETE:
         try:
-            value = float(token)
+            whole = int(token)
         except ValueError:
-            raise NonNumericCell(
-                f"cell {token!r} in column {var!r} (row {row}) is not numeric",
-                variable=var, row=row, value=token,
-            ) from None
-        try:
+            try:
+                value = float(token)
+            except ValueError:
+                raise NonNumericCell(
+                    f"cell {token!r} in column {var!r} (row {row}) is not numeric",
+                    variable=var, row=row, value=token,
+                ) from None
+            if not math.isfinite(value):
+                raise _non_finite(token, var, row) from None
+            if not value.is_integer():
+                raise NonNumericCell(
+                    f"cell {token!r} in column {var!r} (row {row}) is not an integer",
+                    variable=var, row=row, value=token,
+                ) from None
             whole = int(value)
-        except (OverflowError, ValueError):
-            raise _non_finite(token, var, row) from None
-        if value != whole:
+        if not _INT64.min <= whole <= _INT64.max:
             raise NonNumericCell(
-                f"cell {token!r} in column {var!r} (row {row}) is not an integer",
+                f"cell {token!r} in column {var!r} (row {row}) is outside the "
+                "int64 range",
                 variable=var, row=row, value=token,
             )
         return whole
     if kind == Kind.BOOLEAN:
-        low = token.lower()
-        if low in _TRUE_TOKENS:
-            return 1
-        if low in _FALSE_TOKENS:
-            return 0
-        raise NonNumericCell(
-            f"cell {token!r} in column {var!r} (row {row}) is not boolean",
-            variable=var, row=row, value=token,
-        )
+        try:
+            return _BOOLEAN_TOKENS[token.lower()]
+        except KeyError:
+            raise NonNumericCell(
+                f"cell {token!r} in column {var!r} (row {row}) is not boolean",
+                variable=var, row=row, value=token,
+            ) from None
     raise AssertionError(kind)
+
+
+def _whole_column(tokens: list[str], kind: Kind) -> np.ndarray | None:
+    """Parse a column of trimmed non-categorical cells in C-level passes
+    with the same parsers as :func:`_parse_cell`; None when some cell fails
+    a check."""
+    n = len(tokens)
+    try:
+        if kind == Kind.BOOLEAN:
+            codes = list(map(_BOOLEAN_TOKENS.get, map(str.lower, tokens)))
+            return None if None in codes else np.array(codes, dtype=np.int64)
+        if kind == Kind.DISCRETE:
+            try:
+                return np.fromiter(map(int, tokens), np.int64, n)
+            except (ValueError, OverflowError):
+                pass
+        values = np.fromiter(map(float, tokens), np.float64, n)
+    except ValueError:
+        return None
+    if kind == Kind.CONTINUOUS:
+        return values if np.isfinite(values).all() else None
+    # below 2**53 an integral float is the exact value of its token, whether
+    # that was written as an integer or not
+    if (np.abs(values) < _EXACT_FLOAT_INTS).all() and (values == np.trunc(values)).all():
+        return values.astype(np.int64)
+    return None
+
+
+def _parse_column(tokens: list[str], kind: Kind, var: str) -> np.ndarray:
+    """One numeric or boolean column: float64 if continuous, int64
+    otherwise. A column the whole-column checks reject is parsed cell by
+    cell, which names its first bad cell by row and column."""
+    values = _whole_column(tokens, kind)
+    if values is None:
+        values = np.array(
+            [_parse_cell(t, kind, var, i) for i, t in enumerate(tokens)],
+            dtype=np.float64 if kind == Kind.CONTINUOUS else np.int64,
+        )
+    return values
 
 
 def load_dataset(
@@ -325,52 +380,39 @@ def load_dataset(
             )
 
     metas = [VariableMeta(n, roles[n][0], roles[n][1]) for n in header]
-    raw_rows: list[list[str]] = []
-    dropped = 0
-    for row in reader:
-        if not row:
-            continue
-        cells = [c.strip() for c in row]
-        if len(cells) != len(header) or any(c == "" for c in cells):
-            dropped += 1
-            continue
-        raw_rows.append(cells)
+    rows = [row for row in reader if row]
+    complete = [row for row in rows if len(row) == len(header)]
+    cells = [list(map(str.strip, col)) for col in zip(*complete)]
+    filled = np.ones(len(complete), dtype=bool)
+    for col in cells:
+        if "" in col:
+            filled &= np.fromiter(map(bool, col), bool, len(col))
+    if not filled.all():
+        cells = [list(itertools.compress(col, filled)) for col in cells]
+    sample_count = int(filled.sum())
+    dropped = len(rows) - sample_count
     if dropped:
         logger.info("dropped %d incomplete rows", dropped)
-    if not raw_rows:
+    if not sample_count:
         raise EmptyDataset("no complete data rows")
 
     columns: dict[str, np.ndarray] = {}
     final_metas: list[VariableMeta] = []
-    for j, meta in enumerate(metas):
-        tokens = [r[j] for r in raw_rows]
+    for meta, tokens in zip(metas, cells):
         if meta.kind == Kind.CATEGORICAL:
-            codebook: dict[str, int] = {}
-            codes = []
-            for tok in tokens:
-                if tok not in codebook:
-                    codebook[tok] = len(codebook)
-                codes.append(codebook[tok])
-            columns[meta.name] = np.asarray(codes, dtype=np.int64)
-            final_metas.append(replace(meta, domain=tuple(codebook)))
-        elif meta.kind == Kind.BOOLEAN:
-            vals = [_parse_cell(t, meta.kind, meta.name, i) for i, t in enumerate(tokens)]
-            columns[meta.name] = np.asarray(vals, dtype=np.int64)
-            final_metas.append(replace(meta, domain=("false", "true")))
-        elif meta.kind == Kind.DISCRETE:
-            vals = [_parse_cell(t, meta.kind, meta.name, i) for i, t in enumerate(tokens)]
-            columns[meta.name] = np.asarray(vals, dtype=np.int64)
-            final_metas.append(meta)
+            domain = tuple(dict.fromkeys(tokens))
+            code_of = {label: code for code, label in enumerate(domain)}
+            columns[meta.name] = np.fromiter(
+                map(code_of.__getitem__, tokens), np.int64, sample_count
+            )
+            final_metas.append(replace(meta, domain=domain))
         else:
-            vals = [_parse_cell(t, meta.kind, meta.name, i) for i, t in enumerate(tokens)]
-            columns[meta.name] = np.asarray(vals, dtype=np.float64)
+            columns[meta.name] = _parse_column(tokens, meta.kind, meta.name)
+            if meta.kind == Kind.BOOLEAN:
+                meta = replace(meta, domain=("false", "true"))
             final_metas.append(meta)
 
-    return Dataset(tuple(final_metas), columns, len(raw_rows))
-
-
-def load_dataset_paths(table_path: str | Path, roles_path: str | Path) -> Dataset:
-    return load_dataset(Path(table_path), Path(roles_path))
+    return Dataset(tuple(final_metas), columns, sample_count)
 
 
 # --------------------------------------------------------------------------

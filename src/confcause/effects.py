@@ -34,6 +34,7 @@ from .errors import (
     UnidentifiableEffect,
 )
 from .resolve import Admg, resolve_edges
+from .stats import _joint_codes
 
 logger = logging.getLogger(__name__)
 
@@ -202,29 +203,29 @@ def ace_edge(
 
     adjustment = admg.parents(treatment)
     t_codes = _coded_column(ds, treatment, bins)
-    levels = np.unique(t_codes)
+    levels, level_of_row = np.unique(t_codes, return_inverse=True)
     y = ds.column(outcome).astype(np.float64)
 
     if adjustment:
         strata_mat = np.column_stack(
             [_coded_column(ds, a, bins) for a in adjustment]
         )
-        _, cell_of_row, cell_counts = np.unique(
-            strata_mat, axis=0, return_inverse=True, return_counts=True
-        )
+        cell_of_row = _joint_codes(strata_mat)
+        cell_counts = np.bincount(cell_of_row)
         cell_weights = cell_counts / cell_counts.sum()
     else:
         cell_of_row = np.zeros(ds.sample_count, dtype=np.int64)
         cell_weights = np.ones(1)
 
-    n_cells = cell_weights.shape[0]
-    means = np.full((levels.shape[0], n_cells), np.nan)
-    for li, level in enumerate(levels):
-        mask = t_codes == level
-        cells_here = cell_of_row[mask]
-        y_here = y[mask]
-        for cell in np.unique(cells_here):
-            means[li, cell] = float(y_here[cells_here == cell].mean())
+    # a stable sort groups the rows of each (level, cell) in their original
+    # order, so every mean runs over the same elements in the same order as a
+    # boolean-mask selection would
+    group = _joint_codes(np.column_stack([level_of_row, cell_of_row]))
+    order = np.argsort(group, kind="stable")
+    bounds = np.flatnonzero(np.diff(group[order])) + 1
+    means = np.full((levels.shape[0], cell_weights.shape[0]), np.nan)
+    for rows in np.split(order, bounds):
+        means[level_of_row[rows[0]], cell_of_row[rows[0]]] = float(y[rows].mean())
 
     adjusted = np.zeros(levels.shape[0])
     for li in range(levels.shape[0]):

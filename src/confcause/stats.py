@@ -181,12 +181,26 @@ def _require_discrete(ds: Dataset, variables: Sequence[str]) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _joint_codes(mat: np.ndarray) -> np.ndarray:
+    """One dense integer code per row of an integer matrix, numbered in
+    lexicographic row order: the ``inverse`` of ``np.unique(mat, axis=0)``.
+
+    Columns are folded in one at a time (mixed radix over each column's
+    level index) and the codes re-compacted after each fold, so they stay
+    below the row count whatever the column cardinalities are.
+    """
+    _, codes = np.unique(mat[:, 0], return_inverse=True)
+    for col in mat.T[1:]:
+        levels, inverse = np.unique(col, return_inverse=True)
+        _, codes = np.unique(codes * levels.shape[0] + inverse, return_inverse=True)
+    return codes
+
+
 def entropy(ds: Dataset, variables: Sequence[str]) -> EntropyEstimate:
     """Shannon entropy (bits) of the empirical joint over the named columns."""
     if not variables:
         raise NonDiscreteVariable("entropy requires at least one variable")
-    mat = _require_discrete(ds, variables)
-    _, counts = np.unique(mat, axis=0, return_counts=True)
+    counts = np.bincount(_joint_codes(_require_discrete(ds, variables)))
     p = counts / counts.sum()
     bits = float(-(p * np.log2(p)).sum())
     return EntropyEstimate(tuple(variables), max(bits, 0.0), int(counts.shape[0]))
@@ -231,28 +245,25 @@ def min_entropy_latent(
     observed x-y dependence as pure confounding, with the realized joint
     distribution over (x value, y value, latent index).
 
-    A degenerate marginal (constant column) needs no latent: returns 0 and a
-    point-mass joint.
+    A degenerate marginal (constant column) needs no latent: returns 0 and
+    the observed joint under a single latent state, which is a point mass
+    when both columns are constant.
     """
     mat = _require_discrete(ds, [x, y])
-    xs = np.unique(mat[:, 0])
-    ys = np.unique(mat[:, 1])
+    xs, x_codes = np.unique(mat[:, 0], return_inverse=True)
+    ys, y_codes = np.unique(mat[:, 1], return_inverse=True)
+    counts = np.bincount(
+        x_codes * ys.shape[0] + y_codes, minlength=xs.shape[0] * ys.shape[0]
+    ).reshape(xs.shape[0], ys.shape[0])
     if xs.shape[0] < 2 or ys.shape[0] < 2:
         logger.info("degenerate joint for (%s, %s); latent entropy is 0", x, y)
-        joint = {(int(mat[0, 0]), int(mat[0, 1]), 0): 1.0}
-        if xs.shape[0] >= 2 or ys.shape[0] >= 2:
-            # keep the marginal of the non-constant side
-            joint = {}
-            vals, counts = np.unique(mat, axis=0, return_counts=True)
-            for row, c in zip(vals, counts):
-                joint[(int(row[0]), int(row[1]), 0)] = float(c / mat.shape[0])
+        joint = {
+            (int(xs[i]), int(ys[j]), 0): float(counts[i, j] / mat.shape[0])
+            for i, j in zip(*np.nonzero(counts))
+        }
         return 0.0, joint
 
-    x_index = {int(v): i for i, v in enumerate(xs)}
-    y_index = {int(v): i for i, v in enumerate(ys)}
-    table = np.zeros((xs.shape[0], ys.shape[0]), dtype=np.float64)
-    for xv, yv in mat:
-        table[x_index[int(xv)], y_index[int(yv)]] += 1.0
+    table = counts.astype(np.float64)
     table /= table.sum()
 
     px = table.sum(axis=1)

@@ -524,17 +524,12 @@ def total_linear_effect(scm: Scm, source: str, target: str) -> float:
     return effect.get(target, 0.0)
 
 
-def curate_ground_truth(
-    scm: Scm, ds: Dataset, n_faults: int | None = None
-) -> GroundTruth:
+def curate_ground_truth(scm: Scm, ds: Dataset) -> GroundTruth:
     """Label faulty rows per objective and list the options that truly cause
     it (ancestors with a nonzero total effect). Continuous objectives fail
     beyond their 99th percentile; boolean objectives fail when false."""
     entries: list[FaultEntry] = []
-    objectives = list(ds.objectives)
-    if n_faults is not None:
-        objectives = objectives[:n_faults]
-    for objective in objectives:
+    for objective in ds.objectives:
         meta = ds.meta(objective)
         col = ds.column(objective)
         if meta.kind == Kind.BOOLEAN:

@@ -88,6 +88,20 @@ class TestLearn:
         assert "'nan'" in err and "row 2" in err
 
 
+    def test_discrete_cell_outside_int64_is_exit_2(self, chain_files, tmp_path, capsys):
+        data, roles = chain_files
+        lines = data.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = "1e20"
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["learn", "--data", bad, "--roles", roles, "--out", tmp_path], capsys
+        )
+        assert code == 2
+        assert "'1e20'" in err and "row 2" in err and "'cache'" in err
+
 class TestDiagnose:
     def test_causal_method_names_the_origin(self, chain_files, tmp_path, capsys):
         data, roles = chain_files

@@ -1,0 +1,311 @@
+"""Whole-column paths checked against the row-at-a-time code they replaced.
+
+Joint coding of integer rows, the CSV reader, the contingency table of the
+minimum-entropy coupling and the backdoor strata of ACE all work a column at
+a time. Each is compared here with a row or cell loop, and the statistics
+are checked not to depend on the order of rows or columns.
+"""
+
+import csv
+import io
+import itertools
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from confcause.dataset import (
+    Dataset,
+    Kind,
+    Role,
+    VariableMeta,
+    _parse_cell,
+    default_discretizations,
+    discretize,
+    load_dataset,
+)
+from confcause.effects import _coded_column, ace_edge
+from confcause.errors import EmptyDataset
+from confcause.resolve import Admg
+from confcause.stats import _joint_codes, entropy, greedy_coupling, min_entropy_latent
+from confcause.synthbench import generate_scm, sample
+
+from test_stats import _discrete_dataset
+
+# --------------------------------------------------------------------------
+# joint coding
+
+
+@given(
+    arrays(
+        np.int64,
+        st.tuples(st.integers(1, 40), st.integers(1, 4)),
+        elements=st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_joint_codes_are_the_unique_rows_inverse(mat):
+    _, inverse, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
+    codes = _joint_codes(mat)
+    np.testing.assert_array_equal(codes, inverse.reshape(-1))
+    np.testing.assert_array_equal(np.bincount(codes), counts)
+
+
+# --------------------------------------------------------------------------
+# minimum-entropy coupling against the row loop
+
+
+def _reference_min_entropy_latent(ds, x, y):
+    """The coupling with its table counted one row at a time."""
+    mat = np.column_stack([ds.column(x), ds.column(y)]).astype(np.int64)
+    xs = np.unique(mat[:, 0])
+    ys = np.unique(mat[:, 1])
+    if xs.shape[0] < 2 or ys.shape[0] < 2:
+        if xs.shape[0] < 2 and ys.shape[0] < 2:
+            return 0.0, {(int(mat[0, 0]), int(mat[0, 1]), 0): 1.0}
+        vals, counts = np.unique(mat, axis=0, return_counts=True)
+        return 0.0, {
+            (int(r[0]), int(r[1]), 0): float(c / mat.shape[0]) for r, c in zip(vals, counts)
+        }
+    x_index = {int(v): i for i, v in enumerate(xs)}
+    y_index = {int(v): i for i, v in enumerate(ys)}
+    table = np.zeros((xs.shape[0], ys.shape[0]))
+    for xv, yv in mat:
+        table[x_index[int(xv)], y_index[int(yv)]] += 1.0
+    table /= table.sum()
+    px = table.sum(axis=1)
+    bits, joint = 0.0, {}
+    atoms = greedy_coupling([table[i] / px[i] for i in range(xs.shape[0])])
+    for z, (picks, mass) in enumerate(atoms):
+        bits -= mass * math.log2(mass)
+        for i, pick in enumerate(picks):
+            key = (int(xs[i]), int(ys[pick]), z)
+            joint[key] = joint.get(key, 0.0) + float(px[i] * mass)
+    return max(bits, 0.0), joint
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-2, 2), st.sampled_from([-7, 0, 3, 10**12])),
+        min_size=1,
+        max_size=60,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_min_entropy_latent_matches_row_loop(pairs):
+    a, b = zip(*pairs)
+    ds = _discrete_dataset(a=a, b=b)
+    bits, joint = min_entropy_latent(ds, "a", "b")
+    want_bits, want_joint = _reference_min_entropy_latent(ds, "a", "b")
+    assert bits == want_bits
+    assert list(joint.items()) == list(want_joint.items())
+
+
+# --------------------------------------------------------------------------
+# ACE strata against per-level, per-cell masks
+
+
+def _reference_ace(ds, admg, treatment, outcome, bins):
+    """Stratum means by one boolean mask per (level, cell)."""
+    t_codes = _coded_column(ds, treatment, bins)
+    levels = np.unique(t_codes)
+    y = ds.column(outcome).astype(np.float64)
+    adjustment = admg.parents(treatment)
+    if adjustment:
+        strata = np.column_stack([_coded_column(ds, a, bins) for a in adjustment])
+        _, cell_of_row, counts = np.unique(
+            strata, axis=0, return_inverse=True, return_counts=True
+        )
+        cell_of_row = cell_of_row.reshape(-1)
+        weights = counts / counts.sum()
+    else:
+        cell_of_row = np.zeros(ds.sample_count, dtype=np.int64)
+        weights = np.ones(1)
+    means = np.full((levels.shape[0], weights.shape[0]), np.nan)
+    for li, level in enumerate(levels):
+        mask = t_codes == level
+        cells, y_here = cell_of_row[mask], y[mask]
+        for cell in np.unique(cells):
+            means[li, cell] = float(y_here[cells == cell].mean())
+    adjusted = np.zeros(levels.shape[0])
+    for li in range(levels.shape[0]):
+        covered = ~np.isnan(means[li])
+        adjusted[li] = float(
+            (weights[covered] * means[li, covered]).sum() / weights[covered].sum()
+        )
+    if levels.shape[0] < 2:
+        return 0.0
+    pairs = itertools.combinations(range(levels.shape[0]), 2)
+    return float(np.mean([abs(adjusted[i] - adjusted[j]) for i, j in pairs]))
+
+
+@given(
+    st.integers(2, 80).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+            st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+            st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_ace_edge_matches_mask_loop(columns, adjusted):
+    t, p, q, y = columns
+    metas = (
+        VariableMeta("p", Role.OPTION, Kind.DISCRETE),
+        VariableMeta("q", Role.METRIC, Kind.CONTINUOUS),
+        VariableMeta("t", Role.METRIC, Kind.DISCRETE),
+        VariableMeta("y", Role.OBJECTIVE, Kind.CONTINUOUS),
+    )
+    ds = Dataset(
+        metas,
+        {
+            "p": np.asarray(p, dtype=np.int64),
+            "q": np.asarray(q, dtype=np.float64),
+            "t": np.asarray(t, dtype=np.int64),
+            "y": np.asarray(y, dtype=np.float64),
+        },
+        len(t),
+    )
+    directed = {("t", "y")} | ({("p", "t"), ("q", "t")} if adjusted else set())
+    admg = Admg(metas, frozenset(directed), frozenset())
+    got = ace_edge(ds, admg, "t", "y", bins=3).value
+    assert got == _reference_ace(ds, admg, "t", "y", 3)
+
+
+# --------------------------------------------------------------------------
+# row and column order
+
+
+def _reorder(ds: Dataset, seed: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(ds.sample_count)
+    variables = tuple(ds.variables[i] for i in rng.permutation(len(ds.variables)))
+    return Dataset(variables, {n: c[rows] for n, c in ds.columns.items()}, ds.sample_count)
+
+
+@given(st.integers(0, 50), st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_statistics_ignore_row_and_column_order(system, seed):
+    scm = generate_scm(3, 5, 1, 0.5, seed=system)
+    ds = sample(scm, 400)
+    shuffled = _reorder(ds, seed)
+    disc = discretize(ds, default_discretizations(ds, 5))
+    disc_shuffled = discretize(shuffled, default_discretizations(shuffled, 5))
+    names = list(ds.names)
+    for u, v in itertools.combinations(names, 2):
+        assert entropy(disc, [u, v]) == entropy(disc_shuffled, [u, v])
+        assert min_entropy_latent(disc, u, v) == min_entropy_latent(disc_shuffled, u, v)
+    # row order changes the order of each stratum's sum, so the last bits move
+    for u, v in sorted(scm.graph.directed):
+        want = ace_edge(ds, scm.graph, u, v).value
+        assert ace_edge(shuffled, scm.graph, u, v).value == pytest.approx(
+            want, rel=1e-12, abs=1e-12
+        )
+
+
+# --------------------------------------------------------------------------
+# the CSV reader against a row loop with per-cell parsing
+
+
+def _reference_load(text: str, kinds: dict[str, Kind]):
+    """The loader as one loop over rows, then one ``_parse_cell`` per cell."""
+    reader = csv.reader(io.StringIO(text))
+    header = [h.strip() for h in next(reader)]
+    kept = []
+    for row in reader:
+        if not row:
+            continue
+        cells = [c.strip() for c in row]
+        if len(cells) == len(header) and "" not in cells:
+            kept.append(cells)
+    if not kept:
+        raise EmptyDataset("no complete data rows")
+    columns, domains = {}, {}
+    for j, name in enumerate(header):
+        tokens = [r[j] for r in kept]
+        if kinds[name] == Kind.CATEGORICAL:
+            codebook: dict[str, int] = {}
+            columns[name] = [codebook.setdefault(t, len(codebook)) for t in tokens]
+            domains[name] = tuple(codebook)
+        else:
+            columns[name] = [_parse_cell(t, kinds[name], name, i) for i, t in enumerate(tokens)]
+            domains[name] = ("false", "true") if kinds[name] == Kind.BOOLEAN else None
+    return columns, domains, len(kept)
+
+
+_GOOD = {
+    Kind.CONTINUOUS: ["1.5", " -2 ", "1e-7", "1_0.5", "+3", "0", "7", "1E3", "-0.0"],
+    Kind.DISCRETE: [
+        "1", "-2", " 3 ", "+1", "1_0", "1e3", "3.0", "-0", "007",
+        "9007199254740993", "-9223372036854775808", "9223372036854775807", "1e17",
+    ],
+    Kind.BOOLEAN: ["true", "FALSE", " yes ", "On", "0", "1", "no", "off"],
+    Kind.CATEGORICAL: ["a", "b", " c ", "a b", "x,y", "1", 'say "hi"', "  b"],
+}
+_BAD = [
+    "nan", "inf", "-Infinity", "abc", "2.5", "1e20", "-9223372036854775809",
+    "9223372036854775808", "0x10", "maybe", "2", "1e400",
+]
+_BLANK = ["", "   "]
+
+
+@st.composite
+def messy_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(list(Kind)), min_size=1, max_size=4))
+    names = [f"c{j}" for j in range(len(kinds))]
+    clean = draw(st.booleans())
+    out = io.StringIO()
+    writer = csv.writer(
+        out,
+        lineterminator="\n",
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    )
+    writer.writerow(names)
+    for _ in range(draw(st.integers(0, 12))):
+        row = [
+            draw(st.sampled_from(_GOOD[k] * 3 + _BLANK + ([] if clean else _BAD)))
+            for k in kinds
+        ]
+        shape = draw(st.sampled_from(["full"] * 5 + ["short", "long", "empty"]))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row = row + ["9"]
+        elif shape == "empty":
+            row = []
+        writer.writerow(row)
+    return out.getvalue(), dict(zip(names, kinds))
+
+
+def _outcome(load):
+    try:
+        return "loaded", load()
+    except Exception as exc:  # the error itself is what is compared
+        return "raised", (type(exc), getattr(exc, "details", None))
+
+
+@given(messy_tables())
+@settings(max_examples=300, deadline=None)
+def test_load_dataset_matches_cell_by_cell_reference(table):
+    text, kinds = table
+    roles = json.dumps({n: {"role": "metric", "kind": k.value} for n, k in kinds.items()})
+    status, got = _outcome(lambda: load_dataset(text, roles))
+    want_status, want = _outcome(lambda: _reference_load(text, kinds))
+    assert status == want_status, (got, want)
+    if status == "raised":
+        assert got == want
+        return
+    columns, domains, n = want
+    assert got.sample_count == n
+    for name, kind in kinds.items():
+        col = got.column(name)
+        assert col.dtype == (np.float64 if kind == Kind.CONTINUOUS else np.int64)
+        assert col.tolist() == columns[name]
+        assert got.meta(name).domain == domains[name]

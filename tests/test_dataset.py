@@ -144,6 +144,24 @@ def test_non_finite_cell_rejected(kind, token):
     assert "row 1" in str(info.value) and "'a'" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "token", ["1e20", "9223372036854775808", "-9223372036854775809", "1e19"]
+)
+def test_discrete_cell_outside_int64_rejected(token):
+    roles = {"a": {"role": "option", "kind": "discrete"}}
+    with pytest.raises(NonNumericCell) as info:
+        load_dataset(f"a\n1\n2\n{token}\n", json.dumps(roles))
+    assert info.value.details == {"variable": "a", "row": 2, "value": token}
+    assert "int64" in str(info.value)
+
+
+def test_discrete_integers_parsed_exactly():
+    roles = {"a": {"role": "option", "kind": "discrete"}}
+    tokens = ["9007199254740993", "-9223372036854775808", "9223372036854775807", "3"]
+    ds = load_dataset("a\n" + "\n".join(tokens) + "\n", json.dumps(roles))
+    assert ds.column("a").tolist() == [int(t) for t in tokens]
+
+
 def test_concat_requires_matching_schema(loaded):
     other = Dataset(
         loaded.variables,

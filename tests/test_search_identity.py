@@ -1,23 +1,28 @@
-"""Search outputs pinned byte for byte, and the batched CI-test engine
-checked against a plain one-test-at-a-time reference.
+"""Search, diagnosis and table outputs pinned byte for byte, and the
+batched CI-test engine checked against a plain one-test-at-a-time reference.
 
-The digests are SHA-256 of the sorted-keys JSON of each model; the counts
-are the CI tests the search logs. Both were recorded before the engine
-evaluated conditioning sets in stacks, so any change in which subsets are
-tested, in which order, or with what result shows here.
+The digests are SHA-256 of the sorted-keys JSON of each model or diagnosis,
+or of the table text; the counts are the CI tests the search logs. The
+search digests were recorded before the engine evaluated conditioning sets
+in stacks, and the diagnosis and table digests before entropy, ACE strata
+and the CSV reader and writer worked a column at a time, so any change in
+which subsets are tested, in which order, or with what result shows here,
+and so does any change in the last bit of an effect or a written cell.
 """
 
 import hashlib
+import io
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from confcause.dataset import Dataset, Kind, Role, VariableMeta
+from confcause.dataset import Dataset, Kind, Role, VariableMeta, load_dataset
 from confcause.discovery import _FisherZTester, build_constraints, fci
-from confcause.effects import learn_model, update_model
+from confcause.effects import cpwe, learn_model, update_model
 from confcause.synthbench import generate_scm, sample
 
 
@@ -73,6 +78,53 @@ def test_warm_start_updates_pinned(caplog):
         "5aaf7b542b7f7e56f27f6f8d569164a5dd804dc54d9c76dbfea13f7e9fd52ed7"
     )
     assert _ci_tests(caplog) == 9003
+
+
+def test_diagnoses_pinned():
+    """Backdoor ACE over adjustment strata, down to the last bit of every
+    path score."""
+    ds = sample(generate_scm(6, 12, 2, 0.3, n_latents=1), 3000)
+    _, admg = learn_model(ds)
+    diags = cpwe(ds, admg)
+    assert _digest({k: d.to_json_dict() for k, d in diags.items()}) == (
+        "9a3622f195288565ebb4646aae797844fbadd3757a3f0527ce352089b3df8094"
+    )
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_table_dump_and_reload_pinned():
+    """A categorical option, a discrete option with negative levels, a
+    boolean objective and continuous columns: the written table, the model
+    learned from reading it back, and the table written again, which now
+    labels booleans and recodes the categories in first-appearance order."""
+    base = sample(generate_scm(3, 6, 2, 0.4, seed=5, boolean_objectives=1), 1200)
+    cols = dict(base.columns)
+    cols["o02"] = cols["o02"] - 1
+    metas = tuple(
+        replace(v, kind=Kind.CATEGORICAL, domain=("high", "low", "mid"))
+        if v.name == "o01" else v
+        for v in base.variables
+    )
+    mixed = Dataset(metas, cols, base.sample_count)
+    table, roles = io.StringIO(), io.StringIO()
+    mixed.dump_table(table)
+    mixed.dump_roles(roles)
+    assert _text_digest(table.getvalue()) == (
+        "0445969a5639f1631d63f393dee5417f9ce44c63d5475457a916e346cc368be4"
+    )
+    loaded = load_dataset(table.getvalue(), roles.getvalue())
+    _, admg = learn_model(loaded)
+    assert _digest(admg.to_json_dict()) == (
+        "da9387f749a3e1b0e217eefff7a953b4989ffb60617c43d46371f6ce339b39a1"
+    )
+    again = io.StringIO()
+    loaded.dump_table(again)
+    assert _text_digest(again.getvalue()) == (
+        "c37ece80d49b4f806f8b5697920a2c6e63a84c180cfb43fcacc2d540e2cd0e39"
+    )
 
 
 # --------------------------------------------------------------------------
