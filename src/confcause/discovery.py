@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +24,7 @@ import numpy as np
 
 from .dataset import Dataset, Role, VariableMeta
 from .errors import InputError, UnknownVariable
-from .stats import _fisher_z, partial_corrs_from_covs
+from .stats import _fisher_z_independent, partial_corrs_from_covs
 
 logger = logging.getLogger(__name__)
 
@@ -274,7 +273,8 @@ class _FisherZTester:
     Results are memoised per (pair, conditioning set): True (independent),
     False (dependent), or None when the query is untestable (singular
     submatrix or too few rows for the conditioning size). ``test_count``
-    counts the tests that produced a statistic.
+    counts the tests that produced a statistic, ``untestable_count`` the
+    untestable queries.
     """
 
     def __init__(self, ds: Dataset, alpha: float) -> None:
@@ -284,6 +284,7 @@ class _FisherZTester:
         self._cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
         self._cache: dict[tuple, bool | None] = {}
         self.test_count = 0
+        self.untestable_count = 0
 
     def first_independent(
         self, x: str, y: str, subsets: Sequence[tuple[str, ...]]
@@ -324,6 +325,7 @@ class _FisherZTester:
                     result, counted = results.pop(subset)
                     cache[key] = result
                     self.test_count += counted
+                    self.untestable_count += result is None
                 if result is True:
                     return pos
                 pos += 1
@@ -348,13 +350,21 @@ class _FisherZTester:
                 for i in members:
                     out[i] = (True, False)  # constant columns carry no dependence
                 continue
-            idx = np.array(
-                [[ix, iy, *(self._index[c] for c in subsets[i])] for i in members]
-            )
+            idx = np.empty((len(members), k + 2), dtype=np.intp)
+            idx[:, 0], idx[:, 1] = ix, iy
+            idx[:, 2:] = np.fromiter(
+                map(self._index.__getitem__, itertools.chain.from_iterable(
+                    subsets[i] for i in members
+                )),
+                dtype=np.intp, count=len(members) * k,
+            ).reshape(len(members), k)
             rhos = partial_corrs_from_covs(self._cov[idx[:, :, None], idx[:, None, :]])
-            for i, rho in zip(members, rhos.tolist()):
-                if not math.isnan(rho):
-                    out[i] = (_fisher_z(rho, self.n, k)[1] > self.alpha, True)
+            independent = _fisher_z_independent(rhos, self.n, k, self.alpha)
+            for i, testable, result in zip(
+                members, (~np.isnan(rhos)).tolist(), independent.tolist()
+            ):
+                if testable:
+                    out[i] = (result, True)
         return out
 
 
@@ -931,8 +941,8 @@ def fci(
         PagEdge(u, v, g.mark_at(v, u), g.mark_at(u, v)) for u, v in g.sorted_edges()
     )
     logger.info(
-        "structure search: %d vertices, %d edges, %d CI tests",
-        len(names), len(edges), tester.test_count,
+        "structure search: %d vertices, %d edges, %d untestable queries, %d CI tests",
+        len(names), len(edges), tester.untestable_count, tester.test_count,
     )
     return Pag(ds.variables, edges, dict(sepsets), tuple(g.conflicts))
 

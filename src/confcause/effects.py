@@ -175,6 +175,8 @@ def ace_edge(
     treatment: str,
     outcome: str,
     bins: int = 5,
+    *,
+    _codes: dict[str, np.ndarray] | None = None,
 ) -> AceEstimate:
     """Backdoor-adjusted average causal effect of ``treatment`` on ``outcome``.
 
@@ -187,6 +189,9 @@ def ace_edge(
     Raises UnidentifiableEffect when the treatment shares a bidirected edge
     with the outcome or with an ancestor of the outcome (no adjustment set
     can close that confounding).
+
+    ``_codes`` keeps the level codes of each column across calls on the same
+    dataset and ``bins``, so that :func:`cpwe` bins each column once.
     """
     for name in (treatment, outcome):
         admg.meta(name)
@@ -202,14 +207,16 @@ def ace_edge(
             )
 
     adjustment = admg.parents(treatment)
-    t_codes = _coded_column(ds, treatment, bins)
+    codes = {} if _codes is None else _codes
+    for name in (treatment, *adjustment):
+        if name not in codes:
+            codes[name] = _coded_column(ds, name, bins)
+    t_codes = codes[treatment]
     levels, level_of_row = np.unique(t_codes, return_inverse=True)
     y = ds.column(outcome).astype(np.float64)
 
     if adjustment:
-        strata_mat = np.column_stack(
-            [_coded_column(ds, a, bins) for a in adjustment]
-        )
+        strata_mat = np.column_stack([codes[a] for a in adjustment])
         cell_of_row = _joint_codes(strata_mat)
         cell_counts = np.bincount(cell_of_row)
         cell_weights = cell_counts / cell_counts.sum()
@@ -275,6 +282,7 @@ def _score_paths(
     top_k: int,
     bins: int,
     cache: dict[tuple[str, str], float],
+    codes: dict[str, np.ndarray],
 ) -> Diagnosis:
     raw = extract_paths(admg, objective)
     scored: list[CausalPath] = []
@@ -285,7 +293,9 @@ def _score_paths(
             if key not in cache:
                 if (a, b) in admg.directed:
                     try:
-                        cache[key] = ace_edge(ds, admg, a, b, bins=bins).value
+                        cache[key] = ace_edge(
+                            ds, admg, a, b, bins=bins, _codes=codes
+                        ).value
                     except UnidentifiableEffect as exc:
                         logger.warning(
                             "edge %s->%s unidentifiable (%s); scored as 0", a, b, exc
@@ -325,8 +335,9 @@ def cpwe(
     if objectives is None:
         objectives = [v.name for v in admg.vertices if v.role == Role.OBJECTIVE]
     cache: dict[tuple[str, str], float] = {}
+    codes: dict[str, np.ndarray] = {}
     return {
-        obj: _score_paths(ds, admg, obj, top_k, bins, cache)
+        obj: _score_paths(ds, admg, obj, top_k, bins, cache, codes)
         for obj in sorted(objectives)
     }
 

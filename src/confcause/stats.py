@@ -9,6 +9,7 @@ assigning the largest joint atoms first, and report H(Z).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e12  # covariance condition number beyond which we call it singular
+# norm bound on the condition number below which no SVD is needed
+_SCREEN_LIMIT = _COND_LIMIT * 1e-3
 
 
 @dataclass(frozen=True)
@@ -58,27 +61,54 @@ def partial_corrs_from_covs(covs: np.ndarray) -> np.ndarray:
     the limit) are NaN. Each matrix is factorized by the same LAPACK kernel
     as a lone ``(m, m)`` matrix, so the result does not depend on what else
     is in the stack.
+
+    The finite matrices are inverted first, and a matrix whose bound
+    cond(C) <= ||C||_F * ||C^-1||_F is below ``_SCREEN_LIMIT`` is non-singular
+    without an SVD. Only the matrices that bound cannot clear have their
+    condition number computed. Below the screen's limit, the SVD's condition
+    number is within 1e-6 relative of the true one, far from ``_COND_LIMIT``,
+    so the screen decides exactly as the condition number alone would.
     """
     covs = np.asarray(covs, dtype=np.float64)
     singular = np.zeros(covs.shape[0], dtype=bool)
-    if covs.shape[1] == 2:
-        num = covs[:, 0, 1]
-        denom = np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
-    else:
-        # the SVD behind cond may fail to converge on non-finite input
-        singular = ~np.isfinite(covs).all(axis=(1, 2))
-        singular[~singular] = np.linalg.cond(covs[~singular]) > _COND_LIMIT
-        prec = np.full_like(covs, np.nan)
-        prec[~singular] = np.linalg.inv(covs[~singular])
-        num = -prec[:, 0, 1]
-        denom = np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # overflow, 0/0 and square roots of negatives end as NaN or +-1 below
+    with np.errstate(all="ignore"):
+        if covs.shape[1] == 2:
+            num = covs[:, 0, 1]
+            denom = np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
+        else:
+            # the SVD behind cond may fail to converge on non-finite input
+            singular = ~np.isfinite(covs).all(axis=(1, 2))
+            finite = covs[~singular]
+            try:
+                inv = np.linalg.inv(finite)
+            except np.linalg.LinAlgError:
+                # an exactly singular member: condition numbers first, so
+                # that only invertible matrices are inverted
+                singular[~singular] = np.linalg.cond(finite) > _COND_LIMIT
+                inv = np.linalg.inv(covs[~singular])
+            else:
+                unclear = ~(_frobenius_sq(finite) * _frobenius_sq(inv) < _SCREEN_LIMIT**2)
+                if unclear.any():
+                    cleared = np.ones(finite.shape[0], dtype=bool)
+                    cleared[unclear] = ~(np.linalg.cond(finite[unclear]) > _COND_LIMIT)
+                    singular[~singular] = ~cleared
+                    inv = inv[cleared]
+            prec = np.full_like(covs, np.nan)
+            prec[~singular] = inv
+            num = -prec[:, 0, 1]
+            denom = np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
         r = np.where(denom == 0.0, 0.0, num / denom)
     # clamp to [-1, 1] the way min(1, max(-1, r)) does, NaN included
     r = np.where(r > -1.0, r, -1.0)
     r = np.where(r < 1.0, r, 1.0)
     r[singular] = np.nan
     return r
+
+
+def _frobenius_sq(mats: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    return np.einsum("bij,bij->b", mats, mats)
 
 
 def partial_corr_from_cov(cov: np.ndarray) -> float:
@@ -107,6 +137,49 @@ def _fisher_z(rho: float, n: int, k: int) -> tuple[float, float]:
     statistic = math.sqrt(n - k - 3) * z
     # 2 * (1 - Phi(|t|)) == erfc(|t| / sqrt(2))
     return statistic, math.erfc(abs(statistic) / math.sqrt(2.0))
+
+
+# relative half-width of the band around the critical |rho| where the
+# array decision defers to the scalar test
+_DECISION_BAND = 1e-9
+
+
+@functools.lru_cache(maxsize=1024)
+def _critical_rho(n: int, k: int, alpha: float) -> float:
+    """The |rho| at which the Fisher-z test on ``n`` rows given ``k``
+    variables turns from independent (p > alpha) to dependent, to 1e-12
+    relative: bisection on the scalar test, which is monotone in |rho| up to
+    rounding. 0 when even rho = 0 is dependent, inf when rho = 1 is not."""
+
+    def independent(r: float) -> bool:
+        return _fisher_z(r, n, k)[1] > alpha
+
+    if not independent(0.0):
+        return 0.0
+    if independent(1.0):
+        return math.inf
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if independent(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _fisher_z_independent(rhos: np.ndarray, n: int, k: int, alpha: float) -> np.ndarray:
+    """``_fisher_z(rho, n, k)[1] > alpha`` for each entry of ``rhos`` (False
+    for NaN). The array is compared with the critical |rho|; only the values
+    within ``_DECISION_BAND`` of it are decided by the scalar test."""
+    crit = _critical_rho(n, k, alpha)
+    mag = np.abs(rhos)
+    low, high = crit * (1.0 - _DECISION_BAND), crit * (1.0 + _DECISION_BAND)
+    out = mag < low
+    band = (mag >= low) & (mag <= high)
+    for i in np.flatnonzero(band).tolist():
+        out[i] = _fisher_z(float(rhos[i]), n, k)[1] > alpha
+    return out
 
 
 def partial_correlation(

@@ -1,10 +1,13 @@
 """Graph-learning behavior on systems whose answer is known by construction."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
-from confcause.discovery import Mark, Pag, build_constraints, fci
+from confcause.discovery import Mark, Pag, _FisherZTester, build_constraints, fci
 from confcause.errors import InputError, MissingRole
 from confcause.synthbench import Mechanism, sample, scm_from_mechanisms
 
@@ -206,3 +209,46 @@ def test_dot_export_mentions_every_vertex():
     for name in pag.vertex_names:
         assert f'"{name}"' in dot
     assert dot.startswith("digraph")
+
+
+def _copied_metric(ds, source, name):
+    """The dataset with one more metric, an exact copy of ``source``."""
+    return Dataset(
+        (*ds.variables, _meta(name, Role.METRIC)),
+        {**ds.columns, name: ds.column(source).copy()},
+        ds.sample_count,
+    )
+
+
+def test_untestable_queries_counted_once():
+    ds = _copied_metric(sample(chain_system(seed=3), 2000), "m", "m2")
+    tester = _FisherZTester(ds, 0.05)
+    assert tester.first_independent("o", "y", [("m", "m2"), ("m",)]) == 1
+    assert (tester.test_count, tester.untestable_count) == (1, 1)
+    assert tester.first_independent("o", "y", [("m", "m2")]) is None  # cached
+    assert (tester.test_count, tester.untestable_count) == (1, 1)
+
+    flat = Dataset(
+        (*ds.variables, _meta("k", Role.METRIC)),
+        {**ds.columns, "k": np.full(ds.sample_count, 2.0)},
+        ds.sample_count,
+    )
+    tester = _FisherZTester(flat, 0.05)
+    assert tester.first_independent("k", "y", [("m",)]) == 0  # constant, not untestable
+    assert (tester.test_count, tester.untestable_count) == (0, 0)
+
+    few = Dataset(ds.variables, {k: v[:5] for k, v in ds.columns.items()}, 5)
+    tester = _FisherZTester(few, 0.05)
+    assert tester.first_independent("o", "y", [("m", "m2"), ("m",), ()]) is not None
+    assert tester.untestable_count == 1  # five rows cannot condition on two
+
+
+def test_search_log_names_untestable_queries(caplog):
+    caplog.set_level(logging.INFO, logger="confcause.discovery")
+    ds = _copied_metric(sample(collider_system(seed=4), 3000), "m3", "m4")
+    fci(ds, build_constraints(ds.variables))
+    message = [m for m in caplog.messages if m.startswith("structure search")][-1]
+    match = re.fullmatch(
+        r"structure search: .* (\d+) untestable queries, (\d+) CI tests", message
+    )
+    assert match and int(match.group(1)) > 0 and int(match.group(2)) > 0

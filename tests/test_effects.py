@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from confcause import effects
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
 from confcause.effects import (
     ModelParams,
@@ -21,7 +22,7 @@ from confcause.errors import (
     UnidentifiableEffect,
 )
 from confcause.resolve import Admg
-from confcause.synthbench import interventional_ace, sample
+from confcause.synthbench import generate_scm, interventional_ace, sample
 
 from test_discovery import chain_system
 
@@ -299,6 +300,30 @@ class TestRanking:
         assert payload["objective"] == "y"
         assert payload["root_causes"] == ["o"]
         assert payload["paths"][0]["vertices"] == ["o", "m", "y"]
+
+
+def test_cpwe_bins_each_column_once(monkeypatch):
+    ds = sample(generate_scm(3, 8, 2, 0.4, seed=2), 2000)
+    _, admg = learn_model(ds)
+    binned: list[str] = []
+    real = effects.discretize
+
+    def counting(data, specs):
+        binned.extend(spec.variable for spec in specs)
+        return real(data, specs)
+
+    monkeypatch.setattr(effects, "discretize", counting)
+    diags = cpwe(ds, admg)
+    assert binned and len(binned) == len(set(binned))
+
+    # each edge effect equals ace_edge called on its own, which bins afresh
+    binned.clear()
+    for diag in diags.values():
+        for path in diag.ranked_paths:
+            for a, b, value in zip(path.vertices, path.vertices[1:], path.edge_aces):
+                if (a, b) in admg.directed:
+                    assert ace_edge(ds, admg, a, b).value == value
+    assert len(binned) > len(set(binned))
 
 
 class TestUpdateModel:

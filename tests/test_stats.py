@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
 from confcause.errors import InsufficientSamples, NonDiscreteVariable
 from confcause.stats import (
+    _critical_rho,
+    _fisher_z,
+    _fisher_z_independent,
     conditional_entropy,
     entropy,
     fisher_z_test,
     greedy_coupling,
     min_entropy_latent,
     partial_correlation,
+    partial_corrs_from_covs,
 )
 
 
@@ -238,3 +242,180 @@ class TestMinEntropyLatent:
         ds = _discrete_dataset(a=a, b=b)
         bits, _ = min_entropy_latent(ds, "a", "b")
         assert 0.5 < bits < 1.5
+
+
+# --------------------------------------------------------------------------
+# the SVD-free singularity screen and the array Fisher-z decision
+
+
+def _cond_first_rhos(covs):
+    """Reference: singularity by condition number first, then one stacked
+    inverse of the matrices that pass (the order before the norm screen)."""
+    covs = np.asarray(covs, dtype=np.float64)
+    singular = np.zeros(covs.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        if covs.shape[1] == 2:
+            num = covs[:, 0, 1]
+            denom = np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
+        else:
+            singular = ~np.isfinite(covs).all(axis=(1, 2))
+            singular[~singular] = np.linalg.cond(covs[~singular]) > 1e12
+            prec = np.full_like(covs, np.nan)
+            prec[~singular] = np.linalg.inv(covs[~singular])
+            num = -prec[:, 0, 1]
+            denom = np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
+        r = np.where(denom == 0.0, 0.0, num / denom)
+    r = np.where(r > -1.0, r, -1.0)
+    r = np.where(r < 1.0, r, 1.0)
+    r[singular] = np.nan
+    return r
+
+
+def _cov_with_cond(rng, m, cond):
+    """Random symmetric positive definite matrix with the given condition
+    number, eigenvalues spread log-uniformly between 1/cond and 1."""
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    eig = np.sort(np.exp(rng.uniform(-np.log(cond), 0.0, m)))
+    eig[0], eig[-1] = 1.0 / cond, 1.0
+    return (q * eig) @ q.T * 10.0 ** rng.uniform(-3, 3)
+
+
+def _duplicate_column_cov(rng, m):
+    """Covariance of data whose last column copies another: two equal rows."""
+    data = rng.standard_normal((50, m))
+    data[:, -1] = data[:, int(rng.integers(0, m - 1))]
+    return np.cov(data, rowvar=False)
+
+
+def _mixed_stack(rng, m, size, singular_member):
+    mats = []
+    for _ in range(size):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            data = rng.standard_normal((40, m)) @ rng.standard_normal((m, m))
+            mats.append(np.cov(data, rowvar=False))
+        elif kind == 1:
+            mats.append(_cov_with_cond(rng, m, 10.0 ** rng.uniform(11, 13)))
+        elif kind == 2:
+            cov = _cov_with_cond(rng, m, 10.0 ** rng.uniform(0, 4))
+            cov[rng.integers(m), rng.integers(m)] = rng.choice([np.nan, np.inf, -np.inf])
+            mats.append(cov)
+        else:
+            mats.append(_cov_with_cond(rng, m, 10.0 ** rng.uniform(5, 10)))
+    if singular_member and m > 2:
+        mats[int(rng.integers(0, size))] = _duplicate_column_cov(rng, m)
+    return np.stack(mats)
+
+
+class TestSingularityScreen:
+    def _assert_same(self, covs):
+        got, want = partial_corrs_from_covs(covs), _cond_first_rhos(covs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_mixed_stacks_match_the_cond_first_reference(self, m):
+        rng = np.random.default_rng(100 + m)
+        singular = 0
+        for trial in range(150):
+            covs = _mixed_stack(rng, m, int(rng.integers(1, 30)), trial % 3 == 0)
+            self._assert_same(covs)
+            singular += int(np.isnan(partial_corrs_from_covs(covs)).sum())
+        assert singular > 0 or m == 2  # a pair is never singular
+
+    def test_exactly_singular_member_takes_the_fallback(self):
+        rng = np.random.default_rng(9)
+        covs = _mixed_stack(rng, 4, 12, singular_member=True)
+        covs[3] = _duplicate_column_cov(rng, 4)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(covs[np.isfinite(covs).all(axis=(1, 2))])
+        self._assert_same(covs)
+        assert math.isnan(partial_corrs_from_covs(covs)[3])
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_condition_numbers_at_the_limit(self, m):
+        rng = np.random.default_rng(m)
+        covs = np.stack([_cov_with_cond(rng, m, 10.0 ** e)
+                         for e in np.linspace(11.0, 13.0, 400)])
+        got = partial_corrs_from_covs(covs)
+        assert np.isnan(got).any() and not np.isnan(got).all()
+        self._assert_same(covs)
+
+    def test_norm_bound_tight_at_the_limit(self):
+        """Geometric spectra make the norm bound equal cond to ~1e-12, and
+        the SVD's own error near cond 1e12 is ~1e-4: the screen's margin is
+        what keeps these matrices on the condition-number path."""
+        rng = np.random.default_rng(12)
+        for m in (3, 4):
+            q, _ = np.linalg.qr(rng.standard_normal((20000, m, m)))
+            cond = 1e12 * (1 + rng.uniform(-3e-3, 3e-3, 20000))
+            eig = np.geomspace(1.0 / cond, np.ones_like(cond), m, axis=1)
+            covs = (q * eig[:, None, :]) @ np.swapaxes(q, 1, 2)
+            self._assert_same(covs)
+
+    def test_well_conditioned_stack_needs_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("cond called on a stack the screen clears")
+
+        rng = np.random.default_rng(4)
+        covs = np.stack([_cov_with_cond(rng, 5, 10.0 ** rng.uniform(0, 8))
+                         for _ in range(50)])
+        want = _cond_first_rhos(covs)
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        assert partial_corrs_from_covs(covs).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 5),
+        size=st.integers(1, 12),
+        singular_member=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hypothesis_stacks(self, m, size, singular_member, seed):
+        rng = np.random.default_rng(seed)
+        self._assert_same(_mixed_stack(rng, m, size, singular_member))
+
+
+class TestFisherZDecision:
+    @staticmethod
+    def _flip(n, k, alpha):
+        """Adjacent floats (lo, hi): the scalar test says independent at lo
+        and dependent at hi."""
+        lo, hi = 0.0, 1.0
+        while np.nextafter(lo, 1.0) < hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                mid = np.nextafter(lo, 1.0)
+            if _fisher_z(mid, n, k)[1] > alpha:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    @pytest.mark.parametrize("n", [7, 40, 1000, 60000])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_the_scalar_test_around_the_critical_rho(self, k, n, alpha):
+        crit = _critical_rho(n, k, alpha)
+        lo, hi = self._flip(n, k, alpha)
+        assert crit * (1 - 1e-9) <= lo < hi <= crit * (1 + 1e-9)
+        points = [0.0, 1.0, crit, crit * (1 - 1e-9), crit * (1 + 1e-9), 0.5, 1 - 1e-16]
+        for centre in (lo, hi, crit, crit * (1 - 1e-9), crit * (1 + 1e-9)):
+            below = above = centre
+            for _ in range(4):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, 2.0)
+                points += [below, above]
+        rhos = np.array(points + [-p for p in points])
+        got = _fisher_z_independent(rhos, n, k, alpha)
+        want = [_fisher_z(float(r), n, k)[1] > alpha for r in rhos]
+        assert got.tolist() == want
+        assert got[rhos == lo].all() and not got[rhos == hi].any()
+
+    def test_nan_is_never_independent(self):
+        got = _fisher_z_independent(np.array([np.nan, 0.0, np.nan]), 100, 1, 0.05)
+        assert got.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 1.5])
+    def test_degenerate_alpha(self, alpha):
+        rhos = np.array([0.0, 1e-300, 0.3, -0.999, 1.0, -1.0])
+        got = _fisher_z_independent(rhos, 50, 2, alpha)
+        assert got.tolist() == [_fisher_z(float(r), 50, 2)[1] > alpha for r in rhos]
