@@ -16,14 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy.stats import norm
 
-from .dataset import (
-    BinStrategy,
-    Dataset,
-    Discretization,
-    Kind,
-    Role,
-    discretize,
-)
+from .dataset import Dataset, Kind, Role, _equal_frequency_edges
 from .errors import InputError
 
 logger = logging.getLogger(__name__)
@@ -114,9 +107,8 @@ def mine_predicates(ds: Dataset, fault_labels: np.ndarray) -> list[Predicate]:
 def _numeric_thresholds(ds: Dataset, name: str) -> list[float]:
     meta = ds.meta(name)
     if meta.kind == Kind.CONTINUOUS:
-        spec = Discretization(name, BinStrategy.EQUAL_FREQUENCY, 5)
-        discretize(ds, [spec])
-        return [float(e) for e in spec.bin_edges[1:-1]]
+        # the interior edges of the 5-bin equal-frequency discretization
+        return _equal_frequency_edges(ds.column(name), 5)[1:-1]
     # discrete: split between consecutive observed levels
     levels = np.unique(ds.column(name))
     return [float(v) for v in levels[:-1]]

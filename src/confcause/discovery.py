@@ -13,12 +13,14 @@ circle marks are exactly the orientations the data could not decide.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,9 +29,6 @@ from .errors import InputError, UnknownVariable
 from .stats import _fisher_z_independent, partial_corrs_from_covs
 
 logger = logging.getLogger(__name__)
-
-# conditioning sets in a CI tester's first stack; each further stack doubles
-_FIRST_CHUNK = 4
 
 
 class Mark(str, Enum):
@@ -266,148 +265,198 @@ class _Graph:
 # --------------------------------------------------------------------------
 # conditional-independence testing
 
+# matrices per stacked partial-correlation call, and conditioning sets per
+# batch of a pruning level: bounds the memory of the gathered covariances
+_STACK_CAP = 8192
+
+# (result, counted) per outcome code of ``_FisherZTester._evaluate``: 0
+# dependent, 1 independent, then a constant column and an untestable query
+_OUTCOMES = ((False, True), (True, True), (True, False), (None, False))
+_CONSTANT, _UNTESTABLE = 2, 3
+
+
+@functools.lru_cache(maxsize=256)
+def _combos(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) as rows of a read-only array, in
+    lexicographic order, as ``itertools.combinations`` yields them."""
+    table = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    table = table.reshape(math.comb(n, k), k)
+    table.setflags(write=False)
+    return table
+
+
+def _pair_rows(x: int, y: int, sets: np.ndarray) -> np.ndarray:
+    """(x, y, *set) rows for a ``(B, k)`` array of conditioning sets."""
+    rows = np.empty((sets.shape[0], sets.shape[1] + 2), dtype=np.intp)
+    rows[:, 0], rows[:, 1], rows[:, 2:] = x, y, sets
+    return rows
+
 
 class _FisherZTester:
     """Fisher-z tests against a covariance matrix computed once per dataset.
 
-    Results are memoised per (pair, conditioning set): True (independent),
-    False (dependent), or None when the query is untestable (singular
-    submatrix or too few rows for the conditioning size). ``test_count``
-    counts the tests that produced a statistic, ``untestable_count`` the
-    untestable queries.
+    Variables are numbered in sorted-name order (``names``, ``index``), and
+    a query is a row of column indices: the pair x < y, then the
+    conditioning set in increasing order. Results are memoised per row:
+    True (independent), False (dependent), or None when the query is
+    untestable (singular submatrix or too few rows for the conditioning
+    size). ``test_count`` counts the tests that produced a statistic,
+    ``untestable_count`` the untestable queries.
     """
 
     def __init__(self, ds: Dataset, alpha: float) -> None:
         self.alpha = float(alpha)
         self.n = ds.sample_count
-        self._index = {name: i for i, name in enumerate(ds.names)}
-        self._cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
-        self._cache: dict[tuple, bool | None] = {}
+        self.names = tuple(sorted(ds.names))
+        self.index = {name: i for i, name in enumerate(self.names)}
+        position = {name: i for i, name in enumerate(ds.names)}
+        order = [position[name] for name in self.names]
+        cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
+        self._cov = cov[np.ix_(order, order)]
+        self._constant = np.diagonal(self._cov) == 0.0
+        self._cache: dict[bytes, bool | None] = {}
         self.test_count = 0
         self.untestable_count = 0
 
-    def first_independent(
-        self, x: str, y: str, subsets: Sequence[tuple[str, ...]]
-    ) -> int | None:
-        """Index of the first conditioning set in ``subsets`` that separates
-        x and y, or None when none does.
+    def first_separators(
+        self, rows: np.ndarray, stops: Sequence[int]
+    ) -> list[int | None]:
+        """For each query, the index into ``rows`` of its first separating
+        set, or None when none of its sets separates its pair.
 
-        Uncached sets are evaluated in stacks of growing size. Results are
-        then taken in order, exactly as one test at a time would: the sets
-        up to and including the first separating one are cached and
-        counted, and the rest of the stack is dropped.
+        ``rows`` is a ``(B, k + 2)`` array of query rows, all of one
+        conditioning size; query j is ``rows[stops[j - 1]:stops[j]]``. Every
+        uncached set is evaluated first, in stacks. Each query is then
+        replayed in order, exactly as one test at a time would: the sets up
+        to and including the first separating one are cached and counted,
+        and the rest are dropped.
         """
-        if y < x:
-            x, y = y, x
+        rows = np.ascontiguousarray(rows, dtype=np.intp)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        keys = keys.ravel().tolist()
         cache = self._cache
-        pos = 0
-        chunk = _FIRST_CHUNK
-        while pos < len(subsets):
-            key = (x, y, subsets[pos])
-            if key in cache:
-                if cache[key] is True:
-                    return pos
-                pos += 1
-                continue
-            batch: dict[tuple[str, ...], None] = {}
-            for subset in itertools.islice(subsets, pos, None):
-                if (x, y, subset) not in cache:
-                    batch[subset] = None
-                    if len(batch) == chunk:
-                        break
-            results = dict(zip(batch, self._evaluate(x, y, list(batch))))
-            while results:
-                subset = subsets[pos]
-                key = (x, y, subset)
+        fresh = [i for i, key in enumerate(keys) if key not in cache]
+        codes = dict(zip(fresh, self._evaluate(rows[fresh]) if fresh else ()))
+        hits: list[int | None] = []
+        start = 0
+        for stop in stops:
+            hit = None
+            for i in range(start, stop):
+                key = keys[i]
                 if key in cache:
                     result = cache[key]
                 else:
-                    result, counted = results.pop(subset)
+                    result, counted = _OUTCOMES[codes[i]]
                     cache[key] = result
                     self.test_count += counted
                     self.untestable_count += result is None
                 if result is True:
-                    return pos
-                pos += 1
-            chunk *= 2
-        return None
+                    hit = i
+                    break
+            hits.append(hit)
+            start = stop
+        return hits
 
-    def _evaluate(
-        self, x: str, y: str, subsets: list[tuple[str, ...]]
-    ) -> list[tuple[bool | None, bool]]:
-        """(result, counted) per conditioning set, one stacked partial
-        correlation per set size."""
-        out: list[tuple[bool | None, bool]] = [(None, False)] * len(subsets)
-        by_size: dict[int, list[int]] = {}
-        for i, subset in enumerate(subsets):
-            by_size.setdefault(len(subset), []).append(i)
-        ix, iy = self._index[x], self._index[y]
-        constant = self._cov[ix, ix] == 0.0 or self._cov[iy, iy] == 0.0
-        for k, members in by_size.items():
-            if self.n <= k + 3:
-                continue
-            if constant:
-                for i in members:
-                    out[i] = (True, False)  # constant columns carry no dependence
-                continue
-            idx = np.empty((len(members), k + 2), dtype=np.intp)
-            idx[:, 0], idx[:, 1] = ix, iy
-            idx[:, 2:] = np.fromiter(
-                map(self._index.__getitem__, itertools.chain.from_iterable(
-                    subsets[i] for i in members
-                )),
-                dtype=np.intp, count=len(members) * k,
-            ).reshape(len(members), k)
-            rhos = partial_corrs_from_covs(self._cov[idx[:, :, None], idx[:, None, :]])
-            independent = _fisher_z_independent(rhos, self.n, k, self.alpha)
-            for i, testable, result in zip(
-                members, (~np.isnan(rhos)).tolist(), independent.tolist()
-            ):
-                if testable:
-                    out[i] = (result, True)
-        return out
+    def _evaluate(self, rows: np.ndarray) -> list[int]:
+        """Outcome code per query row: one stacked partial correlation per
+        ``_STACK_CAP`` rows."""
+        k = rows.shape[1] - 2
+        if self.n <= k + 3:
+            return [_UNTESTABLE] * rows.shape[0]
+        # constant columns carry no dependence
+        constant = self._constant[rows[:, 0]] | self._constant[rows[:, 1]]
+        live = np.flatnonzero(~constant)
+        rhos = np.empty(live.shape[0])
+        for at in range(0, live.shape[0], _STACK_CAP):
+            idx = rows[live[at:at + _STACK_CAP]]
+            rhos[at:at + _STACK_CAP] = partial_corrs_from_covs(
+                self._cov[idx[:, :, None], idx[:, None, :]]
+            )
+        codes = np.full(rows.shape[0], _CONSTANT)
+        codes[live] = np.where(
+            np.isnan(rhos), _UNTESTABLE,
+            _fisher_z_independent(rhos, self.n, k, self.alpha),
+        )
+        return codes.tolist()
 
 
 # --------------------------------------------------------------------------
 # skeleton search
 
 
-def _sorted_adjacent_pairs(adj: Mapping[str, set[str]]) -> list[tuple[str, str]]:
-    return [(u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
+def _cost_chunks(costs: Sequence[int], cap: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges of ``costs`` whose sum stays within ``cap``; an
+    item that alone exceeds it gets a range of its own."""
+    start, total = 0, 0
+    for i, cost in enumerate(costs):
+        if total and total + cost > cap:
+            yield start, i
+            start, total = i, 0
+        total += cost
+    if start < len(costs):
+        yield start, len(costs)
+
+
+def _neighbour_rows(
+    adj: np.ndarray, u: np.ndarray, v: np.ndarray, pools: np.ndarray, k: int
+) -> tuple[np.ndarray, list[int]]:
+    """Query rows of every pair's level-k conditioning sets, pair after
+    pair, and where each pair's rows end.
+
+    A pair's sets are the k-subsets of u's other neighbours and of v's,
+    without repeats, in lexicographic order: the k-subsets of the pair's
+    pool (the union) that lie within one endpoint's neighbourhood. Pairs
+    with a pool of one size are handled together.
+    """
+    sizes = pools.sum(axis=1)
+    owners, sets = [np.empty(0, dtype=np.intp)], [np.empty((0, k), dtype=np.intp)]
+    for size in np.unique(sizes[sizes >= k]).tolist():
+        group = np.flatnonzero(sizes == size)
+        members = np.nonzero(pools[group])[1].reshape(group.shape[0], size)
+        cand = members[:, _combos(size, k)]
+        keep = (
+            adj[u[group, None, None], cand].all(axis=2)
+            | adj[v[group, None, None], cand].all(axis=2)
+        )
+        owners.append(np.repeat(group, keep.sum(axis=1)))
+        sets.append(cand[keep])
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    rows = np.empty((owner.shape[0], k + 2), dtype=np.intp)
+    rows[:, 0], rows[:, 1] = u[owner[order]], v[owner[order]]
+    rows[:, 2:] = np.concatenate(sets)[order]
+    return rows, np.cumsum(np.bincount(owner, minlength=u.shape[0])).tolist()
 
 
 def _prune_by_neighbors(
     tester: _FisherZTester,
-    adj: dict[str, set[str]],
+    adj: np.ndarray,
     sepsets: dict[frozenset[str], frozenset[str]],
     max_cond_size: int,
 ) -> None:
     """Stable pruning rounds: neighbourhoods are snapshotted per subset-size
     round and removals commit at round end, so results equal sequential
-    execution regardless of test scheduling."""
+    execution regardless of test scheduling. Each round's sets are tested
+    in batches of about ``_STACK_CAP``."""
+    names = tester.names
     for level in range(max_cond_size + 1):
-        snapshot = {u: tuple(sorted(adj[u])) for u in adj}
-        testable = False
-        removals: list[tuple[str, str, tuple[str, ...]]] = []
-        for u, v in _sorted_adjacent_pairs(adj):
-            cand_u = [w for w in snapshot[u] if w != v]
-            cand_v = [w for w in snapshot[v] if w != u]
-            if len(cand_u) < level and len(cand_v) < level:
-                continue
-            testable = True
-            subsets = sorted(
-                set(itertools.combinations(cand_u, level))
-                | set(itertools.combinations(cand_v, level))
-            )
-            hit = tester.first_independent(u, v, subsets)
-            if hit is not None:
-                removals.append((u, v, subsets[hit]))
-        for u, v, subset in removals:
-            adj[u].discard(v)
-            adj[v].discard(u)
-            sepsets[frozenset((u, v))] = frozenset(subset)
-        if not testable:
+        snapshot = adj.copy()
+        u, v = np.nonzero(np.triu(snapshot, 1))
+        degree = snapshot.sum(axis=1)
+        if not ((degree[u] > level) | (degree[v] > level)).any():
             break
+        at = np.arange(u.shape[0])
+        pools = snapshot[u] | snapshot[v]
+        pools[at, u] = pools[at, v] = False
+        costs = [math.comb(n, level) for n in pools.sum(axis=1).tolist()]
+        removals = []
+        for a, b in _cost_chunks(costs, _STACK_CAP):
+            rows, stops = _neighbour_rows(snapshot, u[a:b], v[a:b], pools[a:b], level)
+            removals += [rows[hit] for hit in tester.first_separators(rows, stops)
+                         if hit is not None]
+        for x, y, *subset in removals:
+            adj[x, y] = adj[y, x] = False
+            sepsets[frozenset((names[x], names[y]))] = frozenset(names[i] for i in subset)
 
 
 def _possible_d_sep(g: _Graph, x: str) -> set[str]:
@@ -442,21 +491,31 @@ def _pdsep_prune(
     sepsets: dict[frozenset[str], frozenset[str]],
     max_cond_size: int,
 ) -> bool:
-    """Retest every surviving edge against possible-d-sep subsets."""
+    """Retest every surviving edge against possible-d-sep subsets: those of
+    u's possible-d-sep set, then v's, each by growing size, one stack per
+    size. A set already tried for the edge is a cache hit the second time."""
+    index, names = tester.index, tester.names
     removed_any = False
     for u, v in g.sorted_edges():
         if not g.has_edge(u, v):
             continue
-        subsets: dict[tuple[str, ...], None] = {}
+        separator = None
         for root in (u, v):
-            pool = sorted(_possible_d_sep(g, root) - {u, v})
-            for size in range(1, max_cond_size + 1):
-                subsets.update(dict.fromkeys(itertools.combinations(pool, size)))
-        order = list(subsets)
-        hit = tester.first_independent(u, v, order)
-        if hit is not None:
+            pool = np.array(
+                sorted(index[w] for w in _possible_d_sep(g, root) - {u, v}),
+                dtype=np.intp,
+            )
+            for size in range(1, min(max_cond_size, pool.shape[0]) + 1):
+                rows = _pair_rows(index[u], index[v], pool[_combos(pool.shape[0], size)])
+                [hit] = tester.first_separators(rows, [rows.shape[0]])
+                if hit is not None:
+                    separator = rows[hit, 2:]
+                    break
+            if separator is not None:
+                break
+        if separator is not None:
             g.remove_edge(u, v)
-            sepsets[frozenset((u, v))] = frozenset(order[hit])
+            sepsets[frozenset((u, v))] = frozenset(names[i] for i in separator)
             removed_any = True
     return removed_any
 
@@ -886,33 +945,28 @@ def fci(
             max_cond_size=max_cond_size,
         )
     ds.require_role_coverage()
-    names = sorted(ds.names)
     tester = _FisherZTester(ds, alpha)
+    names, index = tester.names, tester.index
     sepsets: dict[frozenset[str], frozenset[str]] = {}
 
-    adj: dict[str, set[str]] = {n: set() for n in names}
+    # the skeleton as an adjacency matrix over column indices
+    adj = np.zeros((len(names), len(names)), dtype=bool)
     if warm_adjacencies is None:
-        for u, v in itertools.combinations(names, 2):
-            if sc.allows_adjacency(u, v):
-                adj[u].add(v)
-                adj[v].add(u)
+        pairs = itertools.combinations(names, 2)
     else:
-        warm_set = {frozenset(p) for p in warm_adjacencies}
-        for pair in warm_set:
-            u, v = sorted(pair)
-            if sc.allows_adjacency(u, v):
-                adj[u].add(v)
-                adj[v].add(u)
-        _retest_separated_pairs(
-            tester, adj, sepsets, sc, names, max_cond_size, warm_sepsets or {}
-        )
+        pairs = (sorted(p) for p in warm_adjacencies)
+    for u, v in pairs:
+        if sc.allows_adjacency(u, v):
+            adj[index[u], index[v]] = adj[index[v], index[u]] = True
+    if warm_adjacencies is not None:
+        _retest_separated_pairs(tester, adj, sepsets, sc, max_cond_size, warm_sepsets or {})
 
     _prune_by_neighbors(tester, adj, sepsets, max_cond_size)
 
     # possible-d-sep refinement needs a provisionally oriented graph
     g = _Graph(names)
-    for u, v in _sorted_adjacent_pairs(adj):
-        g.add_edge(u, v)
+    for x, y in zip(*np.nonzero(np.triu(adj, 1))):
+        g.add_edge(names[x], names[y])
     _apply_background(g, sc)
     _orient_colliders(g, sepsets)
     if _pdsep_prune(tester, g, sepsets, max_cond_size):
@@ -949,41 +1003,45 @@ def fci(
 
 def _retest_separated_pairs(
     tester: _FisherZTester,
-    adj: dict[str, set[str]],
+    adj: np.ndarray,
     sepsets: dict[frozenset[str], frozenset[str]],
     sc: StructuralConstraints,
-    names: Sequence[str],
     max_cond_size: int,
     warm_sepsets: Mapping[frozenset[str], frozenset[str]],
 ) -> None:
     """Re-examine pairs a previous run separated; re-add the edge when no
     separator of the previously recorded size (or any size when unknown)
     still works."""
-    for u, v in itertools.combinations(names, 2):
-        if v in adj[u] or not sc.allows_adjacency(u, v):
+    names, index = tester.names, tester.index
+    for x, y in itertools.combinations(range(len(names)), 2):
+        u, v = names[x], names[y]
+        if adj[x, y] or not sc.allows_adjacency(u, v):
             continue
         recorded = warm_sepsets.get(frozenset((u, v)))
-        pool = sorted((adj[u] | adj[v]) - {u, v})
-        levels: Iterable[list[tuple[str, ...]]]
+        pool = np.flatnonzero(adj[x] | adj[y])
+        pool = pool[(pool != x) & (pool != y)]
+        lists: Iterable[np.ndarray]
         if recorded is not None:
-            first_try = tuple(sorted(recorded))
-            levels = [[first_try, *itertools.combinations(pool, len(first_try))]]
+            first_try = sorted(index[w] for w in recorded)
+            lists = [np.vstack([
+                np.array([first_try], dtype=np.intp),
+                pool[_combos(pool.shape[0], len(first_try))],
+            ])]
         else:
-            levels = (
-                list(itertools.combinations(pool, size))
-                for size in range(max_cond_size + 1)
+            lists = (
+                pool[_combos(pool.shape[0], size)] for size in range(max_cond_size + 1)
             )
-        found: tuple[str, ...] | None = None
-        for subsets in levels:
-            hit = tester.first_independent(u, v, subsets)
+        found: np.ndarray | None = None
+        for subsets in lists:
+            rows = _pair_rows(x, y, subsets)
+            [hit] = tester.first_separators(rows, [rows.shape[0]])
             if hit is not None:
-                found = subsets[hit]
+                found = rows[hit, 2:]
                 # an empty separator does not end the search: the first
                 # non-empty one at a larger size replaces it
-                if found:
+                if found.shape[0]:
                     break
         if found is not None:
-            sepsets[frozenset((u, v))] = frozenset(found)
+            sepsets[frozenset((u, v))] = frozenset(names[i] for i in found)
         else:
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[x, y] = adj[y, x] = True

@@ -57,10 +57,10 @@ def partial_corrs_from_covs(covs: np.ndarray) -> np.ndarray:
     each matrix of a ``(B, m, m)`` stack of joint covariance matrices
     (precision-matrix identity).
 
-    Entries whose matrix is singular (non-finite, or condition number above
-    the limit) are NaN. Each matrix is factorized by the same LAPACK kernel
-    as a lone ``(m, m)`` matrix, so the result does not depend on what else
-    is in the stack.
+    Entries whose matrix is singular (a non-finite entry, or, beyond 2x2, a
+    condition number above the limit) are NaN. Each matrix is factorized by
+    the same LAPACK kernel as a lone ``(m, m)`` matrix, so the result does
+    not depend on what else is in the stack.
 
     The finite matrices are inverted first, and a matrix whose bound
     cond(C) <= ||C||_F * ||C^-1||_F is below ``_SCREEN_LIMIT`` is non-singular
@@ -70,15 +70,15 @@ def partial_corrs_from_covs(covs: np.ndarray) -> np.ndarray:
     so the screen decides exactly as the condition number alone would.
     """
     covs = np.asarray(covs, dtype=np.float64)
-    singular = np.zeros(covs.shape[0], dtype=bool)
+    # a non-finite entry makes the matrix singular; for larger matrices it
+    # would also stop the SVD behind cond from converging
+    singular = ~np.isfinite(covs).all(axis=(1, 2))
     # overflow, 0/0 and square roots of negatives end as NaN or +-1 below
     with np.errstate(all="ignore"):
         if covs.shape[1] == 2:
             num = covs[:, 0, 1]
             denom = np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
         else:
-            # the SVD behind cond may fail to converge on non-finite input
-            singular = ~np.isfinite(covs).all(axis=(1, 2))
             finite = covs[~singular]
             try:
                 inv = np.linalg.inv(finite)

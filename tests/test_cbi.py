@@ -4,18 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confcause.cbi import (
     MIN_OBSERVED,
     Predicate,
     Relation,
+    _numeric_thresholds,
     cbi_rank,
     cbi_root_causes,
     fault_labels_for,
     importance,
     mine_predicates,
 )
-from confcause.dataset import Dataset, Kind, Role, VariableMeta
+from confcause.dataset import (
+    BinStrategy,
+    Dataset,
+    Discretization,
+    Kind,
+    Role,
+    VariableMeta,
+    discretize,
+)
 from confcause.errors import InputError
 
 
@@ -134,6 +145,29 @@ class TestMining:
         ds = _mining_dataset()
         with pytest.raises(InputError):
             mine_predicates(ds, np.zeros(3, dtype=bool))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        levels=st.sampled_from([1, 2, 3, 7, 0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_thresholds_equal_the_discretized_edges(self, n, levels, seed):
+        """The interior edges of a 5-bin equal-frequency ``discretize``,
+        byte for byte, on continuous (levels 0), tied and constant columns."""
+        rng = np.random.default_rng(seed)
+        if levels:
+            col = rng.integers(0, levels, n) * rng.normal() + rng.normal()
+        else:
+            col = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+        meta = VariableMeta("load", Role.METRIC, Kind.CONTINUOUS)
+        ds = Dataset((meta,), {"load": col}, n)
+        spec = Discretization("load", BinStrategy.EQUAL_FREQUENCY, 5)
+        discretize(ds, [spec])
+        want = [float(e) for e in spec.bin_edges[1:-1]]
+        got = _numeric_thresholds(ds, "load")
+        assert all(type(t) is float for t in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ and so does any change in the last bit of an effect or a written cell.
 
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -19,7 +20,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from confcause import discovery
 from confcause.dataset import Dataset, Kind, Role, VariableMeta, load_dataset
 from confcause.discovery import _FisherZTester, build_constraints, fci
 from confcause.effects import cpwe, learn_model, update_model
@@ -135,6 +139,8 @@ def _reference_rho(cov: np.ndarray) -> float | None:
     """Partial correlation of one covariance matrix as a lone factorization
     computes it; None when singular."""
     if cov.shape[0] == 2:
+        if not np.all(np.isfinite(cov)):
+            return None
         denom = math.sqrt(cov[0, 0] * cov[1, 1])
         if denom == 0.0:
             return 0.0
@@ -150,68 +156,113 @@ def _reference_rho(cov: np.ndarray) -> float | None:
     return float(min(1.0, max(-1.0, r)))
 
 
-def _reference_test(tester, x, y, cond):
-    """(result, counted) of one Fisher-z test, evaluated on its own."""
-    if tester.n <= len(cond) + 3:
-        return None, False
-    idx = [tester._index[v] for v in (x, y, *cond)]
-    sub = tester._cov[np.ix_(idx, idx)]
-    if sub[0, 0] == 0.0 or sub[1, 1] == 0.0:
-        return True, False
-    rho = _reference_rho(sub)
-    if rho is None:
-        return None, False
-    if abs(rho) >= 1.0 - 1e-15:
-        return False, True
-    z = 0.5 * math.log((1.0 + rho) / (1.0 - rho))
-    statistic = math.sqrt(tester.n - len(cond) - 3) * z
-    return math.erfc(abs(statistic) / math.sqrt(2.0)) > tester.alpha, True
+class _SequentialTester:
+    """The reference engine: one Fisher-z test at a time on submatrices of
+    ``np.cov`` in the dataset's own column order, memoised per
+    (x, y, conditioning names)."""
+
+    def __init__(self, ds: Dataset, alpha: float) -> None:
+        self.alpha = float(alpha)
+        self.n = ds.sample_count
+        self.names = tuple(sorted(ds.names))
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self._position = {name: i for i, name in enumerate(ds.names)}
+        self._cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
+        self.cache: dict = {}
+        self.test_count = 0
+        self.untestable_count = 0
+
+    def _test(self, x, y, cond):
+        """(result, counted) of one test, evaluated on its own."""
+        if self.n <= len(cond) + 3:
+            return None, False
+        idx = [self._position[v] for v in (x, y, *cond)]
+        sub = self._cov[np.ix_(idx, idx)]
+        if sub[0, 0] == 0.0 or sub[1, 1] == 0.0:
+            return True, False
+        rho = _reference_rho(sub)
+        if rho is None:
+            return None, False
+        if abs(rho) >= 1.0 - 1e-15:
+            return False, True
+        z = 0.5 * math.log((1.0 + rho) / (1.0 - rho))
+        statistic = math.sqrt(self.n - len(cond) - 3) * z
+        return math.erfc(abs(statistic) / math.sqrt(2.0)) > self.alpha, True
+
+    def first_independent(self, x, y, subsets):
+        """Index of the first set in ``subsets`` that separates x and y."""
+        if y < x:
+            x, y = y, x
+        for i, cond in enumerate(subsets):
+            key = (x, y, cond)
+            if key not in self.cache:
+                result, counted = self._test(x, y, cond)
+                self.cache[key] = result
+                self.test_count += counted
+                self.untestable_count += result is None
+            if self.cache[key] is True:
+                return i
+        return None
 
 
-def _reference_first_independent(tester, cache, x, y, subsets):
-    """Sequential loop: returns (index or None, tests counted)."""
-    counted = 0
-    for i, cond in enumerate(subsets):
-        key = (x, y, cond) if x < y else (y, x, cond)
-        if key not in cache:
-            cache[key], used = _reference_test(tester, x, y, cond)
-            counted += used
-        if cache[key] is True:
-            return i, counted
-    return None, counted
+def _named_cache(engine) -> dict:
+    """The engine's cache keyed like the reference's: (x, y, set) names."""
+    names = engine.names
+    view = {}
+    for key, result in engine._cache.items():
+        x, y, *cond = np.frombuffer(key, dtype=np.intp).tolist()
+        view[(names[x], names[y], tuple(names[i] for i in cond))] = result
+    assert len(view) == len(engine._cache)
+    return view
+
+
+def _engine_first_independent(engine, x, y, subsets):
+    """The engine's answer to a name-based query: each run of one set size
+    is one call, in order, until a set separates."""
+    if y < x:
+        x, y = y, x
+    at = 0
+    for k, run in itertools.groupby(subsets, key=len):
+        run = list(run)
+        rows = np.array(
+            [[engine.index[v] for v in (x, y, *cond)] for cond in run], dtype=np.intp
+        ).reshape(len(run), k + 2)
+        [hit] = engine.first_separators(rows, [len(run)])
+        if hit is not None:
+            return at + hit
+        at += len(run)
+    return None
+
+
+def _check_against_reference(ds, queries):
+    """Run the same queries through the engine and through the sequential
+    reference; indices, cache and counts must agree after each query."""
+    engine = _FisherZTester(ds, 0.05)
+    ref = _SequentialTester(ds, 0.05)
+    hits = []
+    for x, y, subsets in queries:
+        got = _engine_first_independent(engine, x, y, subsets)
+        assert got == ref.first_independent(x, y, subsets), (x, y, subsets)
+        assert _named_cache(engine) == ref.cache
+        assert engine.test_count == ref.test_count
+        assert engine.untestable_count == ref.untestable_count
+        hits.append(got)
+    return engine, hits
 
 
 def _engine_dataset(n: int, seed: int = 0) -> Dataset:
     """a -> c -> b, with noise columns e, f, g, an exact copy d of c, and a
-    constant column k."""
+    constant column k; the columns are not in name order."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=n)
     c = a + 0.5 * rng.normal(size=n)
     b = c + 0.5 * rng.normal(size=n)
     cols = {
-        "a": a, "b": b, "c": c, "d": c.copy(), "k": np.full(n, 2.0),
-        "e": rng.normal(size=n), "f": rng.normal(size=n), "g": rng.normal(size=n),
+        "g": rng.normal(size=n), "a": a, "c": c, "b": b, "d": c.copy(),
+        "k": np.full(n, 2.0), "e": rng.normal(size=n), "f": rng.normal(size=n),
     }
     metas = tuple(VariableMeta(name, Role.METRIC, Kind.CONTINUOUS) for name in cols)
     return Dataset(metas, cols, n)
-
-
-def _check_against_reference(ds, queries):
-    """Run the same queries through the engine and through the sequential
-    reference; indices, cache and count must agree after each query."""
-    engine = _FisherZTester(ds, 0.05)
-    ref_cache: dict = {}
-    ref_count = 0
-    hits = []
-    for x, y, subsets in queries:
-        got = engine.first_independent(x, y, subsets)
-        want, counted = _reference_first_independent(engine, ref_cache, x, y, subsets)
-        ref_count += counted
-        assert got == want, (x, y, subsets)
-        assert engine._cache == ref_cache
-        assert engine.test_count == ref_count
-        hits.append(got)
-    return engine, hits
 
 
 def test_engine_hit_positions_and_untestable_sets():
@@ -229,8 +280,8 @@ def test_engine_hit_positions_and_untestable_sets():
     ]
     engine, hits = _check_against_reference(ds, queries)
     assert hits == [0, 5, 3, 0, None, 3, 0, None]
-    assert engine._cache[("a", "b", singular)] is None
-    assert engine._cache[("a", "k", ("c",))] is True
+    assert _named_cache(engine)[("a", "b", singular)] is None
+    assert _named_cache(engine)[("a", "k", ("c",))] is True
 
 
 def test_engine_too_few_rows_for_the_conditioning_size():
@@ -238,7 +289,7 @@ def test_engine_too_few_rows_for_the_conditioning_size():
     engine, hits = _check_against_reference(
         ds, [("a", "b", [("c", "e", "f"), ("c", "e"), ("c",)])]
     )
-    assert engine._cache[("a", "b", ("c", "e", "f"))] is None
+    assert _named_cache(engine)[("a", "b", ("c", "e", "f"))] is None
 
 
 def test_engine_matches_reference_on_random_queries():
@@ -255,6 +306,229 @@ def test_engine_matches_reference_on_random_queries():
             subsets.append(tuple(sorted(map(str, rng.choice(pool, size, replace=False)))))
         queries.append((str(x), str(y), subsets))
     _check_against_reference(ds, queries)
+
+
+def test_engine_batches_and_repeats_within_a_call(monkeypatch):
+    """Several queries in one call, a set repeated within a query, and
+    stacks smaller than a query: the replay still matches one test at a
+    time, and a repeated set is tested and counted once."""
+    monkeypatch.setattr(discovery, "_STACK_CAP", 3)
+    ds = _engine_dataset(400, seed=2)
+    engine, ref = _FisherZTester(ds, 0.05), _SequentialTester(ds, 0.05)
+    queries = [
+        ("a", "b", [("e",), ("g",), ("e",), ("f",), ("c",), ("d",)]),
+        ("a", "e", [("b",), ("c",), ("f",)]),
+        ("b", "g", [("a",), ("c",), ("d",), ("e",), ("f",), ("a",)]),
+        ("c", "d", [("a",), ("b",), ("e",), ("f",), ("g",)]),
+    ]
+    rows, stops = [], []
+    for x, y, subsets in queries:
+        rows += [[engine.index[v] for v in (x, y, *cond)] for cond in subsets]
+        stops.append(len(rows))
+    hits = engine.first_separators(np.array(rows, dtype=np.intp), stops)
+    starts = [0, *stops[:-1]]
+    want = [ref.first_independent(x, y, subsets) for x, y, subsets in queries]
+    assert [None if h is None else h - s for h, s in zip(hits, starts)] == want
+    assert want[0] == 4 and want[1] == 0
+    assert _named_cache(engine) == ref.cache
+    assert (engine.test_count, engine.untestable_count) == (
+        ref.test_count, ref.untestable_count
+    )
+
+
+# --------------------------------------------------------------------------
+# the search against a one-test-at-a-time sequential search
+
+
+def _named_adjacency(tester, adj):
+    return {
+        u: {tester.names[j] for j in np.flatnonzero(adj[i])}
+        for i, u in enumerate(tester.names)
+    }
+
+
+def _store_adjacency(tester, adj, nbrs):
+    adj[:] = False
+    for u, vs in nbrs.items():
+        for v in vs:
+            adj[tester.index[u], tester.index[v]] = True
+
+
+def _sequential_prune_by_neighbors(tester, adj, sepsets, max_cond_size):
+    """PC-stable rounds, pair by pair: for each adjacent pair in name order,
+    the sorted union of the size-``level`` subsets of either endpoint's
+    other neighbours at the start of the round, tested in order."""
+    nbrs = _named_adjacency(tester, adj)
+    for level in range(max_cond_size + 1):
+        snapshot = {u: tuple(sorted(nbrs[u])) for u in nbrs}
+        testable = False
+        removals = []
+        for u in sorted(nbrs):
+            for v in sorted(nbrs[u]):
+                if v < u:
+                    continue
+                cand_u = [w for w in snapshot[u] if w != v]
+                cand_v = [w for w in snapshot[v] if w != u]
+                if len(cand_u) < level and len(cand_v) < level:
+                    continue
+                testable = True
+                subsets = sorted(
+                    set(itertools.combinations(cand_u, level))
+                    | set(itertools.combinations(cand_v, level))
+                )
+                hit = tester.first_independent(u, v, subsets)
+                if hit is not None:
+                    removals.append((u, v, subsets[hit]))
+        for u, v, subset in removals:
+            nbrs[u].discard(v)
+            nbrs[v].discard(u)
+            sepsets[frozenset((u, v))] = frozenset(subset)
+        if not testable:
+            break
+    _store_adjacency(tester, adj, nbrs)
+
+
+def _sequential_pdsep_prune(tester, g, sepsets, max_cond_size):
+    """Each surviving edge against the subsets of u's possible-d-sep set,
+    then v's, by growing size, first occurrences only."""
+    removed_any = False
+    for u, v in g.sorted_edges():
+        if not g.has_edge(u, v):
+            continue
+        subsets = {}
+        for root in (u, v):
+            pool = sorted(discovery._possible_d_sep(g, root) - {u, v})
+            for size in range(1, max_cond_size + 1):
+                subsets.update(dict.fromkeys(itertools.combinations(pool, size)))
+        order = list(subsets)
+        hit = tester.first_independent(u, v, order)
+        if hit is not None:
+            g.remove_edge(u, v)
+            sepsets[frozenset((u, v))] = frozenset(order[hit])
+            removed_any = True
+    return removed_any
+
+
+def _sequential_retest(tester, adj, sepsets, sc, max_cond_size, warm_sepsets):
+    """Previously separated pairs in name order: the recorded separator,
+    then every set of its size; or, without one, every size up to the
+    limit, where an empty separator does not end the search."""
+    nbrs = _named_adjacency(tester, adj)
+    for u, v in itertools.combinations(tester.names, 2):
+        if v in nbrs[u] or not sc.allows_adjacency(u, v):
+            continue
+        recorded = warm_sepsets.get(frozenset((u, v)))
+        pool = sorted((nbrs[u] | nbrs[v]) - {u, v})
+        if recorded is not None:
+            first_try = tuple(sorted(recorded))
+            lists = [[first_try, *itertools.combinations(pool, len(first_try))]]
+        else:
+            lists = [
+                list(itertools.combinations(pool, size))
+                for size in range(max_cond_size + 1)
+            ]
+        found = None
+        for subsets in lists:
+            hit = tester.first_independent(u, v, subsets)
+            if hit is not None:
+                found = subsets[hit]
+                if found:
+                    break
+        if found is not None:
+            sepsets[frozenset((u, v))] = frozenset(found)
+        else:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    _store_adjacency(tester, adj, nbrs)
+
+
+def _search(ds, max_cond_size, sequential, warm=None, warm_sepsets=None):
+    """``fci`` with the batched engine, or with the sequential tester and
+    search phases; returns the PAG and the tester it used. The engine's
+    stacks must stay within the cap."""
+    testers = []
+    engine = _SequentialTester if sequential else _FisherZTester
+    stacked = discovery.partial_corrs_from_covs
+
+    def recording(*args):
+        testers.append(engine(*args))
+        return testers[-1]
+
+    def capped(covs):
+        assert 0 < covs.shape[0] <= discovery._STACK_CAP
+        return stacked(covs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discovery, "_FisherZTester", recording)
+        mp.setattr(discovery, "partial_corrs_from_covs", capped)
+        if sequential:
+            mp.setattr(discovery, "_prune_by_neighbors", _sequential_prune_by_neighbors)
+            mp.setattr(discovery, "_pdsep_prune", _sequential_pdsep_prune)
+            mp.setattr(discovery, "_retest_separated_pairs", _sequential_retest)
+        pag = fci(
+            ds, build_constraints(ds.variables), max_cond_size=max_cond_size,
+            warm_adjacencies=warm, warm_sepsets=warm_sepsets,
+        )
+    return pag, testers[0]
+
+
+def _assert_same_search(ds, max_cond_size, warm=None, warm_sepsets=None):
+    got, engine = _search(ds, max_cond_size, False, warm, warm_sepsets)
+    want, ref = _search(ds, max_cond_size, True, warm, warm_sepsets)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert got.sepsets == want.sepsets
+    assert (engine.test_count, engine.untestable_count) == (
+        ref.test_count, ref.untestable_count
+    )
+    assert _named_cache(engine) == ref.cache
+    return got
+
+
+def _with_copy(ds: Dataset) -> Dataset:
+    """The dataset plus an exact copy of its first metric, so that sets
+    holding both are singular."""
+    source = next(v for v in ds.variables if v.role == Role.METRIC)
+    copy = replace(source, name="m99")
+    return Dataset(
+        (*ds.variables, copy), {**ds.columns, "m99": ds.column(source.name).copy()},
+        ds.sample_count,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(1, 2)),
+    density=st.sampled_from([0.2, 0.35, 0.5]),
+    latents=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+    rows=st.sampled_from([6, 12, 40, 150, 600]),
+    copy=st.booleans(),
+    max_cond_size=st.integers(0, 4),
+    warm=st.sampled_from(["cold", "with sepsets", "without sepsets"]),
+    cap=st.sampled_from([2, 5, discovery._STACK_CAP]),
+)
+def test_search_matches_sequential_search(
+    shape, density, latents, seed, rows, copy, max_cond_size, warm, cap
+):
+    """Random systems, with untestable sets from too few rows or a copied
+    column, cold and warm, with stacks smaller than most queries."""
+    ds = sample(generate_scm(*shape, density, seed=seed, n_latents=latents), 2 * rows)
+    if copy:
+        ds = _with_copy(ds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discovery, "_STACK_CAP", cap)
+        first = _assert_same_search(_rows(ds, 0, rows), max_cond_size)
+        if warm != "cold":
+            sepsets = first.sepsets if warm == "with sepsets" else None
+            _assert_same_search(ds, max_cond_size, first.adjacencies(), sepsets)
+
+
+def test_search_matches_sequential_search_on_a_wide_system():
+    """68 variables: more than any 64-bit set encoding could hold."""
+    ds = sample(generate_scm(4, 62, 2, 0.04, seed=11), 300)
+    assert len(ds.names) > 64
+    first = _assert_same_search(_rows(ds, 0, 200), 2)
+    _assert_same_search(ds, 2, first.adjacencies(), first.sepsets)
 
 
 def test_stacked_partial_correlation_is_bit_identical():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
-from confcause.errors import InsufficientSamples, NonDiscreteVariable
+from confcause.errors import InsufficientSamples, NonDiscreteVariable, SingularCovariance
 from confcause.stats import (
     _critical_rho,
     _fisher_z,
@@ -19,6 +19,7 @@ from confcause.stats import (
     fisher_z_test,
     greedy_coupling,
     min_entropy_latent,
+    partial_corr_from_cov,
     partial_correlation,
     partial_corrs_from_covs,
 )
@@ -252,13 +253,12 @@ def _cond_first_rhos(covs):
     """Reference: singularity by condition number first, then one stacked
     inverse of the matrices that pass (the order before the norm screen)."""
     covs = np.asarray(covs, dtype=np.float64)
-    singular = np.zeros(covs.shape[0], dtype=bool)
+    singular = ~np.isfinite(covs).all(axis=(1, 2))
     with np.errstate(all="ignore"):
         if covs.shape[1] == 2:
             num = covs[:, 0, 1]
             denom = np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
         else:
-            singular = ~np.isfinite(covs).all(axis=(1, 2))
             singular[~singular] = np.linalg.cond(covs[~singular]) > 1e12
             prec = np.full_like(covs, np.nan)
             prec[~singular] = np.linalg.inv(covs[~singular])
@@ -320,7 +320,24 @@ class TestSingularityScreen:
             covs = _mixed_stack(rng, m, int(rng.integers(1, 30)), trial % 3 == 0)
             self._assert_same(covs)
             singular += int(np.isnan(partial_corrs_from_covs(covs)).sum())
-        assert singular > 0 or m == 2  # a pair is never singular
+        assert singular > 0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_are_singular(self, m, bad):
+        """A pair with an infinite or NaN entry (np.cov overflows on cells
+        near 1e200) is untestable, as a larger matrix is, never rho = -1."""
+        rng = np.random.default_rng(5)
+        finite = _cov_with_cond(rng, m, 10.0)
+        covs = np.stack([finite] * (m * m + 1))
+        for i in range(m * m):
+            covs[i].flat[i] = bad
+        covs[m * m, 0, 1] = covs[m * m, 1, 0] = bad
+        got = partial_corrs_from_covs(covs)
+        assert np.isnan(got).all()
+        assert not math.isnan(partial_corrs_from_covs(finite[np.newaxis])[0])
+        with pytest.raises(SingularCovariance):
+            partial_corr_from_cov(covs[0])
 
     def test_exactly_singular_member_takes_the_fallback(self):
         rng = np.random.default_rng(9)
