@@ -26,9 +26,7 @@ MIN_OBSERVED = 5  # predicates observed fewer times are too noisy to rank
 
 class Relation(str, Enum):
     GREATER_THAN = "greater_than"
-    LESS_THAN = "less_than"
     EQUALS = "equals"
-    IN_BIN = "in_bin"
 
 
 @dataclass(frozen=True)
@@ -44,12 +42,7 @@ class Predicate:
     failing_true_count: int
 
     def label(self) -> str:
-        symbol = {
-            Relation.GREATER_THAN: ">",
-            Relation.LESS_THAN: "<",
-            Relation.EQUALS: "==",
-            Relation.IN_BIN: "in bin",
-        }[self.relation]
+        symbol = {Relation.GREATER_THAN: ">", Relation.EQUALS: "=="}[self.relation]
         return f"{self.variable} {symbol} {self.threshold:g}"
 
 

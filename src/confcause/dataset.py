@@ -10,12 +10,11 @@ boolean columns are stored as dense integer codes; the original labels live in
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import IO, Any, Mapping, Sequence
@@ -200,19 +199,22 @@ class Dataset:
 
 
 def _as_text(source: str | Path | bytes | IO[Any]) -> str:
+    """The text of a table or roles source. A ``str`` that contains a
+    newline, or whose first non-blank character is ``{``, is the text
+    itself; any other ``str`` names a file, which must exist."""
+    if isinstance(source, str):
+        if "\n" in source or source.lstrip().startswith("{"):
+            return source
+        try:
+            return Path(source).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise InputError(
+                f"cannot read {source!r}: {exc.strerror or exc}", path=source
+            ) from exc
     if isinstance(source, Path):
         return source.read_text(encoding="utf-8")
     if isinstance(source, bytes):
         return source.decode("utf-8")
-    if isinstance(source, str):
-        # Heuristic: a short string with no newline naming an existing file is a path.
-        if "\n" not in source:
-            try:
-                if Path(source).exists():
-                    return Path(source).read_text(encoding="utf-8")
-            except OSError:
-                pass
-        return source
     data = source.read()
     if isinstance(data, bytes):
         return data.decode("utf-8")
@@ -307,6 +309,17 @@ def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int:
     raise AssertionError(kind)
 
 
+def _checked(values: np.ndarray, kind: Kind) -> np.ndarray | None:
+    """Type a continuous or discrete column parsed as float64: itself when
+    continuous and finite, int64 when discrete and every value is integral
+    below 2**53 in magnitude (so exactly its token); None otherwise."""
+    if kind == Kind.CONTINUOUS:
+        return values if np.isfinite(values).all() else None
+    if (np.abs(values) < _EXACT_FLOAT_INTS).all() and (values == np.trunc(values)).all():
+        return values.astype(np.int64)
+    return None
+
+
 def _whole_column(tokens: list[str], kind: Kind) -> np.ndarray | None:
     """Parse a column of trimmed non-categorical cells in C-level passes
     with the same parsers as :func:`_parse_cell`; None when some cell fails
@@ -324,13 +337,7 @@ def _whole_column(tokens: list[str], kind: Kind) -> np.ndarray | None:
         values = np.fromiter(map(float, tokens), np.float64, n)
     except ValueError:
         return None
-    if kind == Kind.CONTINUOUS:
-        return values if np.isfinite(values).all() else None
-    # below 2**53 an integral float is the exact value of its token, whether
-    # that was written as an integer or not
-    if (np.abs(values) < _EXACT_FLOAT_INTS).all() and (values == np.trunc(values)).all():
-        return values.astype(np.int64)
-    return None
+    return _checked(values, kind)
 
 
 def _parse_column(tokens: list[str], kind: Kind, var: str) -> np.ndarray:
@@ -346,6 +353,45 @@ def _parse_column(tokens: list[str], kind: Kind, var: str) -> np.ndarray:
     return values
 
 
+def _numeric_columns(
+    lines: list[str], metas: Sequence[VariableMeta]
+) -> list[np.ndarray] | None:
+    """The columns of an all-continuous/discrete table in one ``np.loadtxt``
+    pass over its physical lines, header first; None whenever the table
+    needs the CSV path: quotes in the header, no data rows, a line that is
+    not exactly one complete row of cells ``float`` and ``loadtxt`` both
+    accept, or a column :func:`_checked` rejects. The CSV path then gives
+    the same result or the same error."""
+    numeric = (Kind.CONTINUOUS, Kind.DISCRETE)
+    if not metas or any(m.kind not in numeric for m in metas):
+        return None
+    # without a quote the csv reader's header is exactly the first line
+    if '"' in lines[0]:
+        return None
+    data = lines[1:]
+    # the csv reader yields no row for a line of bare line ends, and a row
+    # for every other line
+    expected = sum(1 for line in data if line.strip("\r"))
+    if not expected:
+        return None
+    try:
+        block = np.loadtxt(
+            data, dtype=np.float64, delimiter=",", comments=None,
+            quotechar=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if block.shape != (expected, len(metas)):
+        return None
+    columns = []
+    for j, meta in enumerate(metas):
+        values = _checked(np.ascontiguousarray(block[:, j]), meta.kind)
+        if values is None:
+            return None
+        columns.append(values)
+    return columns
+
+
 def load_dataset(
     table_source: str | Path | bytes | IO[Any],
     roles_source: str | Path | bytes | IO[Any],
@@ -355,12 +401,17 @@ def load_dataset(
     The header row names the variables; every header name must have a roles
     entry and vice versa. Rows with missing or extra cells are dropped with a
     log entry. Categorical labels are coded by first appearance; booleans
-    accept true/false (case-insensitive) and 0/1.
+    accept true/false (case-insensitive) and 0/1. A table of continuous and
+    discrete columns is read by :func:`_numeric_columns` when it can be;
+    otherwise, with the same result, by the CSV reader a column at a time.
     """
-    text = _as_text(table_source)
+    lines = _as_text(table_source).split("\n")
     roles = _parse_roles(_as_text(roles_source))
 
-    reader = csv.reader(io.StringIO(text))
+    # the lines io.StringIO would yield, without its 4-byte-per-character copy
+    reader = csv.reader(
+        itertools.chain((line + "\n" for line in lines[:-1]), filter(None, lines[-1:]))
+    )
     try:
         header = next(reader)
     except StopIteration:
@@ -380,6 +431,11 @@ def load_dataset(
             )
 
     metas = [VariableMeta(n, roles[n][0], roles[n][1]) for n in header]
+    numeric = _numeric_columns(lines, metas)
+    if numeric is not None:
+        columns = {m.name: col for m, col in zip(metas, numeric)}
+        return Dataset(tuple(metas), columns, int(numeric[0].shape[0]))
+
     rows = [row for row in reader if row]
     complete = [row for row in rows if len(row) == len(header)]
     cells = [list(map(str.strip, col)) for col in zip(*complete)]
@@ -425,15 +481,13 @@ class BinStrategy(str, Enum):
     PASS_THROUGH = "pass_through"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Discretization:
-    """One column's binning request; ``bin_edges`` is filled in by
-    :func:`discretize` (strictly ascending, right-closed interior bins)."""
+    """One column's binning request."""
 
     variable: str
     strategy: BinStrategy
     bin_count: int = 0
-    bin_edges: tuple[float, ...] = field(default_factory=tuple)
 
 
 def _equal_width_edges(col: np.ndarray, k: int) -> list[float]:
@@ -479,7 +533,6 @@ def discretize(ds: Dataset, specs: Sequence[Discretization]) -> Dataset:
                     f"pass-through requested for continuous column {meta.name!r}",
                     variable=meta.name,
                 )
-            spec.bin_edges = ()
             continue
         if meta.kind != Kind.CONTINUOUS:
             raise NonDiscreteVariable(
@@ -500,8 +553,6 @@ def discretize(ds: Dataset, specs: Sequence[Discretization]) -> Dataset:
         interior = np.asarray(edges[1:-1], dtype=np.float64)
         # right-closed: a value equal to an interior edge stays in the lower bin
         codes = np.searchsorted(interior, col, side="left")
-        spec.bin_edges = tuple(edges)
-        spec.bin_count = len(edges) - 1
         new_cols[spec.variable] = codes.astype(np.int64)
         new_metas[spec.variable] = replace(meta, kind=Kind.DISCRETE, domain=None)
     if not new_cols:

@@ -25,6 +25,7 @@ from confcause.dataset import (
     Kind,
     Role,
     VariableMeta,
+    _equal_frequency_edges,
     discretize,
 )
 from confcause.errors import InputError
@@ -154,7 +155,8 @@ class TestMining:
     )
     def test_thresholds_equal_the_discretized_edges(self, n, levels, seed):
         """The interior edges of a 5-bin equal-frequency ``discretize``,
-        byte for byte, on continuous (levels 0), tied and constant columns."""
+        byte for byte, on continuous (levels 0), tied and constant columns:
+        each bin code counts the thresholds its value exceeds."""
         rng = np.random.default_rng(seed)
         if levels:
             col = rng.integers(0, levels, n) * rng.normal() + rng.normal()
@@ -162,12 +164,14 @@ class TestMining:
             col = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
         meta = VariableMeta("load", Role.METRIC, Kind.CONTINUOUS)
         ds = Dataset((meta,), {"load": col}, n)
-        spec = Discretization("load", BinStrategy.EQUAL_FREQUENCY, 5)
-        discretize(ds, [spec])
-        want = [float(e) for e in spec.bin_edges[1:-1]]
+        want = _equal_frequency_edges(col, 5)[1:-1]
         got = _numeric_thresholds(ds, "load")
         assert all(type(t) is float for t in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        spec = Discretization("load", BinStrategy.EQUAL_FREQUENCY, 5)
+        codes = discretize(ds, [spec]).column("load")
+        exceeded = sum((col > t).astype(np.int64) for t in got)
+        np.testing.assert_array_equal(codes, exceeded)
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import csv
 import io
 import itertools
 import json
+import logging
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from confcause import dataset
 from confcause.dataset import (
     Dataset,
     Kind,
@@ -214,17 +216,18 @@ def test_statistics_ignore_row_and_column_order(system, seed):
 # the CSV reader against a row loop with per-cell parsing
 
 
-def _reference_load(text: str, kinds: dict[str, Kind]):
-    """The loader as one loop over rows, then one ``_parse_cell`` per cell."""
+def _reference_rows(text: str):
+    """Header, complete rows of trimmed cells, and the count of dropped rows."""
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader)]
-    kept = []
-    for row in reader:
-        if not row:
-            continue
-        cells = [c.strip() for c in row]
-        if len(cells) == len(header) and "" not in cells:
-            kept.append(cells)
+    rows = [[c.strip() for c in row] for row in reader if row]
+    kept = [cells for cells in rows if len(cells) == len(header) and "" not in cells]
+    return header, kept, len(rows) - len(kept)
+
+
+def _reference_load(text: str, kinds: dict[str, Kind]):
+    """The loader as one loop over rows, then one ``_parse_cell`` per cell."""
+    header, kept, _ = _reference_rows(text)
     if not kept:
         raise EmptyDataset("no complete data rows")
     columns, domains = {}, {}
@@ -256,19 +259,37 @@ _BAD = [
 _BLANK = ["", "   "]
 
 
+# numeric cells that both ``float`` and ``np.loadtxt`` accept
+_PLAIN = {
+    Kind.CONTINUOUS: ["1.5", " -2 ", "1e-7", "+3", "0", "7", "1E3", "-0.0", ".5"],
+    Kind.DISCRETE: ["1", "-2", " 3 ", "+1", "1e3", "3.0", "-0", "007", "-4503599627370495"],
+}
+
+
 @st.composite
 def messy_tables(draw):
-    kinds = draw(st.lists(st.sampled_from(list(Kind)), min_size=1, max_size=4))
+    """Tables of every kind and shape. Three in five are plain: unquoted,
+    all continuous or discrete, every row complete, which ``load_dataset``
+    reads in one ``np.loadtxt`` pass."""
+    plain = draw(st.integers(0, 4)) < 3
+    kinds = draw(
+        st.lists(st.sampled_from(list(_PLAIN) if plain else list(Kind)), min_size=1, max_size=4)
+    )
     names = [f"c{j}" for j in range(len(kinds))]
     clean = draw(st.booleans())
     out = io.StringIO()
     writer = csv.writer(
         out,
-        lineterminator="\n",
-        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])) if plain else "\n",
+        quoting=csv.QUOTE_MINIMAL if plain else draw(
+            st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+        ),
     )
     writer.writerow(names)
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(1 if plain else 0, 12))):
+        if plain:
+            writer.writerow([draw(st.sampled_from(_PLAIN[k])) for k in kinds])
+            continue
         row = [
             draw(st.sampled_from(_GOOD[k] * 3 + _BLANK + ([] if clean else _BAD)))
             for k in kinds
@@ -281,7 +302,10 @@ def messy_tables(draw):
         elif shape == "empty":
             row = []
         writer.writerow(row)
-    return out.getvalue(), dict(zip(names, kinds))
+    text = out.getvalue()
+    if plain and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, dict(zip(names, kinds))
 
 
 def _outcome(load):
@@ -291,12 +315,12 @@ def _outcome(load):
         return "raised", (type(exc), getattr(exc, "details", None))
 
 
-@given(messy_tables())
-@settings(max_examples=300, deadline=None)
-def test_load_dataset_matches_cell_by_cell_reference(table):
-    text, kinds = table
-    roles = json.dumps({n: {"role": "metric", "kind": k.value} for n, k in kinds.items()})
-    status, got = _outcome(lambda: load_dataset(text, roles))
+def _roles(kinds: dict[str, Kind]) -> str:
+    return json.dumps({n: {"role": "metric", "kind": k.value} for n, k in kinds.items()})
+
+
+def _assert_matches_reference(text: str, kinds: dict[str, Kind]) -> None:
+    status, got = _outcome(lambda: load_dataset(text, _roles(kinds)))
     want_status, want = _outcome(lambda: _reference_load(text, kinds))
     assert status == want_status, (got, want)
     if status == "raised":
@@ -307,5 +331,66 @@ def test_load_dataset_matches_cell_by_cell_reference(table):
     for name, kind in kinds.items():
         col = got.column(name)
         assert col.dtype == (np.float64 if kind == Kind.CONTINUOUS else np.int64)
-        assert col.tolist() == columns[name]
+        # bytes, so that -0.0 and 0.0 differ
+        assert col.tobytes() == np.array(columns[name], dtype=col.dtype).tobytes()
         assert got.meta(name).domain == domains[name]
+
+
+@given(messy_tables())
+@settings(max_examples=300, deadline=None)
+def test_load_dataset_matches_cell_by_cell_reference(table):
+    _assert_matches_reference(*table)
+
+
+_C, _D = Kind.CONTINUOUS, Kind.DISCRETE
+
+
+@pytest.mark.parametrize(
+    "text, kinds",
+    [
+        pytest.param("a,b\n1_0,2\n", [_C, _D], id="underscore"),
+        pytest.param("a,b\n1.5,1_0\n", [_C, _D], id="underscore-discrete"),
+        pytest.param("a,b\n1e-5_0,2\n", [_C, _D], id="underscore-exponent"),
+        pytest.param("a,b\n１,2\n", [_C, _D], id="fullwidth-digit"),
+        pytest.param("a,b\n1.5,١\n", [_C, _D], id="arabic-indic-digit"),
+        pytest.param("a,b\n1.5,2\n1e400,3\n", [_C, _D], id="overflow"),
+        pytest.param("a,b\n1.5,2\n#1,3\n", [_C, _D], id="hash-cell"),
+        pytest.param("a,b\n1.5,2\n \n3.5,4\n", [_C, _D], id="whitespace-line"),
+        pytest.param("a\n1.5\n \n3.5\n", [_C], id="whitespace-line-one-column"),
+        pytest.param("a,b\r\n1.5,2\r\n\r\n3.5,4\r\n", [_C, _D], id="crlf"),
+        pytest.param("a,b\n1.5,2\n3.5,4", [_C, _D], id="no-final-newline"),
+        pytest.param("a,b\n", [_C, _D], id="header-only"),
+        pytest.param("a,b\n1.5,2\n", [_C, _D], id="one-row"),
+        pytest.param("a\n1.5\n-2\n", [_C], id="one-column"),
+        pytest.param("a,b\n1.5,9007199254740993\n", [_C, _D], id="discrete-above-2**53"),
+        pytest.param('a,b\n"1.5",2\n3.5,4\n', [_C, _D], id="quoted-cell"),
+        pytest.param('"a",b\n1.5,2\n', [_C, _D], id="quoted-header"),
+        pytest.param("a,b\n1.5,2,\n3.5,4\n", [_C, _D], id="trailing-comma"),
+        pytest.param("a,b\n1.5\n3.5,4\n", [_C, _D], id="short-row"),
+        pytest.param("a,b\n1.5,2.5\n", [_C, _D], id="fractional-discrete"),
+        pytest.param("a,b\nnan,2\n", [_C, _D], id="nan"),
+    ],
+)
+def test_numeric_edge_inputs_match_the_reference(text, kinds, caplog):
+    kinds = dict(zip(["a", "b"], kinds))
+    with caplog.at_level(logging.INFO, logger="confcause.dataset"):
+        _assert_matches_reference(text, kinds)
+    logged = [r.getMessage() for r in caplog.records if "incomplete rows" in r.getMessage()]
+    dropped = _reference_rows(text)[2]
+    assert logged == ([f"dropped {dropped} incomplete rows"] if dropped else [])
+
+
+def test_plain_numeric_table_takes_the_loadtxt_path(monkeypatch):
+    """With the per-column parser disabled, a plain table still loads."""
+
+    def refuse(*args):
+        raise AssertionError("per-column parser reached")
+
+    monkeypatch.setattr(dataset, "_parse_column", refuse)
+    text = "a,b\n1.5,2\n-0.25,3e2\n"
+    ds = load_dataset(text, _roles({"a": _C, "b": _D}))
+    assert ds.column("a").tolist() == [1.5, -0.25]
+    assert ds.column("b").tolist() == [2, 300]
+    assert ds.column("b").dtype == np.int64
+    with pytest.raises(AssertionError, match="per-column parser"):
+        load_dataset(text.replace("1.5", "1_5"), _roles({"a": _C, "b": _D}))

@@ -18,6 +18,7 @@ from confcause.errors import (
     BadBinCount,
     DuplicateName,
     EmptyDataset,
+    InputError,
     MissingRole,
     NonDiscreteVariable,
     NonNumericCell,
@@ -210,6 +211,14 @@ class TestDiscretize:
         out = discretize(ds, [Discretization("x", BinStrategy.EQUAL_FREQUENCY, 4)])
         assert set(out.column("x").tolist()) == {0}
 
+    def test_specs_are_reusable_after_a_constant_column(self):
+        ds = self._continuous([3.5] * 9)
+        specs = [Discretization("x", BinStrategy.EQUAL_FREQUENCY, 4)]
+        first = discretize(ds, specs)
+        again = discretize(ds, specs)
+        assert specs == [Discretization("x", BinStrategy.EQUAL_FREQUENCY, 4)]
+        np.testing.assert_array_equal(first.column("x"), again.column("x"))
+
     def test_bad_bin_count(self):
         ds = self._continuous([1.0, 2.0])
         with pytest.raises(BadBinCount):
@@ -232,3 +241,48 @@ class TestDiscretize:
         # discrete-coded inputs keep their levels; only continuous ones bin
         assert set(strategies) == {"latency", "throughput"}
         assert set(strategies.values()) == {BinStrategy.EQUAL_FREQUENCY}
+
+
+class TestSources:
+    """A ``str`` with a newline, or whose first non-blank character is
+    ``{``, is text; any other ``str`` is a path that must exist."""
+
+    def test_str_path_is_read(self, tmp_path):
+        data, roles = tmp_path / "t.csv", tmp_path / "r.json"
+        data.write_text(CSV)
+        roles.write_text(json.dumps(ROLES))
+        assert load_dataset(str(data), str(roles)).sample_count == 4
+
+    def test_missing_table_path_is_named(self, tmp_path):
+        missing = str(tmp_path / "missing" / "data.csv")
+        with pytest.raises(InputError) as err:
+            load_dataset(missing, json.dumps(ROLES))
+        assert type(err.value) is InputError
+        assert err.value.details == {"path": missing}
+        assert err.value.exit_code == 2
+
+    def test_missing_roles_path_is_named(self, tmp_path):
+        missing = str(tmp_path / "roles.json")
+        with pytest.raises(InputError) as err:
+            load_dataset(CSV, missing)
+        assert type(err.value) is InputError
+        assert err.value.details == {"path": missing}
+
+    def test_directory_path_is_named(self, tmp_path):
+        with pytest.raises(InputError) as err:
+            load_dataset(str(tmp_path), json.dumps(ROLES))
+        assert err.value.details == {"path": str(tmp_path)}
+
+    def test_str_with_newline_is_text(self):
+        assert load_dataset(CSV, json.dumps(ROLES)).sample_count == 4
+
+    def test_str_opening_with_a_brace_is_text(self):
+        roles = '  {"a": {"role": "metric", "kind": "continuous"}}'
+        assert "\n" not in roles
+        assert load_dataset("a\n1.5\n", roles).column("a").tolist() == [1.5]
+
+    def test_one_line_str_is_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        roles = json.dumps({"a": {"role": "metric", "kind": "continuous"}})
+        with pytest.raises(InputError, match="No such file"):
+            load_dataset("a", roles)
