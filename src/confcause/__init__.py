@@ -5,141 +5,52 @@ performance objectives from observational samples, resolves the remaining
 ambiguity with entropy heuristics, and ranks option-rooted causal paths by
 their average causal effect on a faulty objective. A classical predicate
 importance baseline and a synthetic ground-truth benchmark ship alongside.
+
+The names below are the documented API; everything else is reached through
+its submodule.
 """
 
-from .cbi import (
-    Predicate,
-    Relation,
-    cbi_rank,
-    cbi_root_causes,
-    fault_labels_for,
-    importance,
-    mine_predicates,
-)
-from .dataset import (
-    BinStrategy,
-    Dataset,
-    Discretization,
-    Kind,
-    Role,
-    VariableMeta,
-    default_discretizations,
-    discretize,
-    load_dataset,
-)
-from .discovery import Mark, Pag, PagEdge, StructuralConstraints, build_constraints, fci
+from .cbi import cbi_rank
+from .dataset import Dataset, Kind, Role, VariableMeta, load_dataset
+from .discovery import Pag
 from .effects import (
-    AceEstimate,
     CausalPath,
     Diagnosis,
     ModelParams,
-    ace_edge,
     cpwe,
     diagnose,
-    extract_paths,
     learn_model,
-    path_ace,
     update_model,
 )
-from .errors import (
-    EmptyResultError,
-    EngineError,
-    InputError,
-    NoPathsFound,
-    UnidentifiableEffect,
-)
-from .resolve import Admg, entropy_threshold, resolve_edges
-from .stats import (
-    CiTestResult,
-    conditional_entropy,
-    entropy,
-    fisher_z_test,
-    greedy_coupling,
-    min_entropy_latent,
-    partial_correlation,
-)
-from .synthbench import (
-    BenchmarkReport,
-    EvalReport,
-    GroundTruth,
-    Mechanism,
-    Scm,
-    curate_ground_truth,
-    evaluate,
-    generate_scm,
-    intervene,
-    interventional_ace,
-    make_fault_benchmark,
-    run_benchmark,
-    sample,
-    scm_from_mechanisms,
-    transfer_series,
-)
+from .errors import EmptyResultError, EngineError, InputError, NoPathsFound
+from .resolve import Admg
+from .synthbench import curate_ground_truth, evaluate, generate_scm, run_benchmark, sample
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AceEstimate",
     "Admg",
-    "BenchmarkReport",
-    "BinStrategy",
     "CausalPath",
-    "CiTestResult",
     "Dataset",
     "Diagnosis",
-    "Discretization",
     "EmptyResultError",
     "EngineError",
-    "EvalReport",
-    "GroundTruth",
     "InputError",
     "Kind",
-    "Mark",
-    "Mechanism",
     "ModelParams",
     "NoPathsFound",
     "Pag",
-    "PagEdge",
-    "Predicate",
-    "Relation",
     "Role",
-    "Scm",
-    "StructuralConstraints",
-    "UnidentifiableEffect",
     "VariableMeta",
-    "ace_edge",
-    "build_constraints",
     "cbi_rank",
-    "cbi_root_causes",
-    "conditional_entropy",
     "cpwe",
     "curate_ground_truth",
-    "default_discretizations",
     "diagnose",
-    "discretize",
-    "entropy",
-    "entropy_threshold",
     "evaluate",
-    "extract_paths",
-    "fault_labels_for",
-    "fci",
-    "fisher_z_test",
     "generate_scm",
-    "greedy_coupling",
-    "importance",
-    "intervene",
-    "interventional_ace",
     "learn_model",
     "load_dataset",
-    "make_fault_benchmark",
-    "mine_predicates",
-    "min_entropy_latent",
-    "partial_correlation",
-    "path_ace",
-    "resolve_edges",
     "run_benchmark",
     "sample",
-    "scm_from_mechanisms",
-    "transfer_series",
     "update_model",
 ]

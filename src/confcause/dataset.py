@@ -27,7 +27,6 @@ from .errors import (
     EmptyDataset,
     InputError,
     MissingRole,
-    NonDiscreteVariable,
     NonNumericCell,
     SchemaMismatch,
     UnknownVariable,
@@ -65,6 +64,14 @@ class VariableMeta:
     role: Role
     kind: Kind
     domain: tuple[str, ...] | None = None
+
+    def to_json_dict(self) -> dict[str, str]:
+        """Name, role and kind; a model file does not carry the domain."""
+        return {"name": self.name, "role": self.role.value, "kind": self.kind.value}
+
+    @classmethod
+    def from_json_dict(cls, payload: Mapping[str, str]) -> "VariableMeta":
+        return cls(payload["name"], Role(payload["role"]), Kind(payload["kind"]))
 
 
 @dataclass(frozen=True)
@@ -201,18 +208,18 @@ class Dataset:
 def _as_text(source: str | Path | bytes | IO[Any]) -> str:
     """The text of a table or roles source. A ``str`` that contains a
     newline, or whose first non-blank character is ``{``, is the text
-    itself; any other ``str`` names a file, which must exist."""
-    if isinstance(source, str):
-        if "\n" in source or source.lstrip().startswith("{"):
-            return source
+    itself; any other ``str``, like a ``Path``, names a file, which must
+    exist."""
+    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
+        return source
+    if isinstance(source, (str, Path)):
+        path = str(source)
         try:
-            return Path(source).read_text(encoding="utf-8")
+            return Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise InputError(
-                f"cannot read {source!r}: {exc.strerror or exc}", path=source
+                f"cannot read {path!r}: {exc.strerror or exc}", path=path
             ) from exc
-    if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
     if isinstance(source, bytes):
         return source.decode("utf-8")
     data = source.read()
@@ -475,29 +482,6 @@ def load_dataset(
 # discretization
 
 
-class BinStrategy(str, Enum):
-    EQUAL_WIDTH = "equal_width"
-    EQUAL_FREQUENCY = "equal_frequency"
-    PASS_THROUGH = "pass_through"
-
-
-@dataclass(frozen=True)
-class Discretization:
-    """One column's binning request."""
-
-    variable: str
-    strategy: BinStrategy
-    bin_count: int = 0
-
-
-def _equal_width_edges(col: np.ndarray, k: int) -> list[float]:
-    lo, hi = float(col.min()), float(col.max())
-    if lo == hi:
-        logger.info("constant column collapsed to a single bin")
-        return [lo - 0.5, lo + 0.5]
-    return [float(e) for e in np.linspace(lo, hi, k + 1)]
-
-
 def _equal_frequency_edges(col: np.ndarray, k: int) -> list[float]:
     lo, hi = float(col.min()), float(col.max())
     if lo == hi:
@@ -518,52 +502,26 @@ def _equal_frequency_edges(col: np.ndarray, k: int) -> list[float]:
     return edges
 
 
-def discretize(ds: Dataset, specs: Sequence[Discretization]) -> Dataset:
-    """Return a new dataset with the requested columns replaced by integer bin
-    codes (kind becomes Discrete). Interior bins are right-closed: a value
-    equal to an interior edge falls in the lower bin. The input dataset is
-    never mutated."""
-    new_cols: dict[str, np.ndarray] = {}
-    new_metas: dict[str, VariableMeta] = {}
-    for spec in specs:
-        meta = ds.meta(spec.variable)
-        if spec.strategy == BinStrategy.PASS_THROUGH:
-            if meta.kind == Kind.CONTINUOUS:
-                raise NonDiscreteVariable(
-                    f"pass-through requested for continuous column {meta.name!r}",
-                    variable=meta.name,
-                )
-            continue
-        if meta.kind != Kind.CONTINUOUS:
-            raise NonDiscreteVariable(
-                f"{spec.strategy.value} binning targets continuous columns, "
-                f"{meta.name!r} is {meta.kind.value}",
-                variable=meta.name,
-            )
-        if spec.bin_count < 2:
-            raise BadBinCount(
-                f"bin_count must be >= 2, got {spec.bin_count}",
-                variable=meta.name, bin_count=spec.bin_count,
-            )
-        col = ds.column(spec.variable)
-        if spec.strategy == BinStrategy.EQUAL_WIDTH:
-            edges = _equal_width_edges(col, spec.bin_count)
-        else:
-            edges = _equal_frequency_edges(col, spec.bin_count)
-        interior = np.asarray(edges[1:-1], dtype=np.float64)
-        # right-closed: a value equal to an interior edge stays in the lower bin
-        codes = np.searchsorted(interior, col, side="left")
-        new_cols[spec.variable] = codes.astype(np.int64)
-        new_metas[spec.variable] = replace(meta, kind=Kind.DISCRETE, domain=None)
-    if not new_cols:
+def _equal_frequency_codes(col: np.ndarray, bins: int, name: str) -> np.ndarray:
+    """Integer codes of ``col`` in ``bins`` equal-frequency bins. Interior
+    bins are right-closed: a value equal to an interior edge falls in the
+    lower bin."""
+    if bins < 2:
+        raise BadBinCount(
+            f"bin_count must be >= 2, got {bins}", variable=name, bin_count=bins
+        )
+    interior = np.asarray(_equal_frequency_edges(col, bins)[1:-1], dtype=np.float64)
+    return np.searchsorted(interior, col, side="left").astype(np.int64)
+
+
+def discretize(ds: Dataset, bins: int) -> Dataset:
+    """Return a new dataset with every continuous column replaced by its
+    codes in ``bins`` equal-frequency bins (kind becomes Discrete). The
+    input dataset is never mutated."""
+    binned = [v for v in ds.variables if v.kind == Kind.CONTINUOUS]
+    if not binned:
         return ds
-    return ds.with_columns(new_cols, new_metas)
-
-
-def default_discretizations(ds: Dataset, bins: int) -> list[Discretization]:
-    """Equal-frequency specs for every continuous column."""
-    return [
-        Discretization(v.name, BinStrategy.EQUAL_FREQUENCY, bins)
-        for v in ds.variables
-        if v.kind == Kind.CONTINUOUS
-    ]
+    return ds.with_columns(
+        {v.name: _equal_frequency_codes(ds.column(v.name), bins, v.name) for v in binned},
+        {v.name: replace(v, kind=Kind.DISCRETE, domain=None) for v in binned},
+    )

@@ -2,9 +2,11 @@
 
 The search starts from a dense adjacency over all variables, prunes edges via
 Fisher-z conditional-independence tests against neighbour subsets of growing
-size, refines through a possible-d-sep pass, and then orients end marks with
-the complete published rule set (colliders, the ten propagation rules
-including discriminating paths). Domain structure is injected up front:
+size, refines through a possible-d-sep pass, and then orients end marks:
+colliders, then Zhang's (2008) rules R1-R4 and R8-R10, including
+discriminating paths. Rules R5-R7 orient only the undirected edges that
+selection bias creates, and the model has no selection bias, so they are
+left out. Domain structure is injected up front:
 configuration options are exogenous, objectives are terminal, and role-derived
 edge marks are fixed before any statistical orientation, which may therefore
 never overwrite them. The result is a partial ancestral graph whose remaining
@@ -38,6 +40,15 @@ class Mark(str, Enum):
 
 
 _DOT_ARROW = {Mark.TAIL: "none", Mark.ARROW: "normal", Mark.CIRCLE: "odot"}
+_DOT_SHAPE = {Role.OPTION: "box", Role.METRIC: "ellipse", Role.OBJECTIVE: "diamond"}
+
+
+def _dot_nodes(name: str, vertices: Iterable[VariableMeta]) -> list[str]:
+    """The first lines of a DOT digraph: its header and one node per vertex,
+    shaped by role."""
+    return [f"digraph {name} {{"] + [
+        f'  "{v.name}" [shape={_DOT_SHAPE[v.role]}];' for v in vertices
+    ]
 
 
 @dataclass(frozen=True)
@@ -76,10 +87,7 @@ class Pag:
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [
-                {"name": v.name, "role": v.role.value, "kind": v.kind.value}
-                for v in self.vertices
-            ],
+            "vertices": [v.to_json_dict() for v in self.vertices],
             "edges": [
                 {"u": e.u, "v": e.v, "mark_u": e.mark_u.value, "mark_v": e.mark_v.value}
                 for e in self.edges
@@ -95,12 +103,7 @@ class Pag:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Pag":
-        from .dataset import Kind  # local to avoid unused import at module scope
-
-        vertices = tuple(
-            VariableMeta(e["name"], Role(e["role"]), Kind(e["kind"]))
-            for e in payload["vertices"]
-        )
+        vertices = tuple(map(VariableMeta.from_json_dict, payload["vertices"]))
         edges = tuple(
             PagEdge(e["u"], e["v"], Mark(e["mark_u"]), Mark(e["mark_v"]))
             for e in payload["edges"]
@@ -112,12 +115,7 @@ class Pag:
         return cls(vertices, edges, sepsets, tuple(payload.get("conflicts", ())))
 
     def to_dot(self, name: str = "pag") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.vertices:
-            shape = {"option": "box", "metric": "ellipse", "objective": "diamond"}[
-                v.role.value
-            ]
-            lines.append(f'  "{v.name}" [shape={shape}];')
+        lines = _dot_nodes(name, self.vertices)
         for e in self.edges:
             lines.append(
                 f'  "{e.u}" -> "{e.v}" [dir=both, arrowtail={_DOT_ARROW[e.mark_u]}, '
@@ -137,12 +135,11 @@ class StructuralConstraints:
 
     Options are exogenous (nothing points into an option and no two options
     are adjacent); objectives are terminal (nothing is caused by an
-    objective); metrics sit in between.
+    objective); metrics sit in between. Admitted directions:
+    option->metric, option->objective, metric->metric, metric->objective.
     """
 
     roles: Mapping[str, Role]
-    forbidden_adjacencies: frozenset[frozenset[str]]
-    forbidden_directions: frozenset[tuple[str, str]]
 
     def role(self, name: str) -> Role:
         try:
@@ -151,21 +148,15 @@ class StructuralConstraints:
             raise UnknownVariable(f"no role known for {name!r}", variable=name) from None
 
     def allows_adjacency(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) not in self.forbidden_adjacencies
+        return not self.role(u) == self.role(v) == Role.OPTION
 
     def allows_direction(self, u: str, v: str) -> bool:
         """May an edge u -> v exist?"""
-        return (
-            self.allows_adjacency(u, v) and (u, v) not in self.forbidden_directions
-        )
+        return self.role(u) != Role.OBJECTIVE and self.role(v) != Role.OPTION
 
     def allows_bidirected(self, u: str, v: str) -> bool:
         """Latent confounding cannot touch an exogenous option."""
-        return (
-            self.allows_adjacency(u, v)
-            and self.role(u) != Role.OPTION
-            and self.role(v) != Role.OPTION
-        )
+        return Role.OPTION not in (self.role(u), self.role(v))
 
     def initial_marks(self, u: str, v: str) -> tuple[Mark, Mark]:
         """Definitive end marks for edge u - v implied by the roles alone."""
@@ -180,26 +171,8 @@ class StructuralConstraints:
 
 
 def build_constraints(variables: Sequence[VariableMeta]) -> StructuralConstraints:
-    """Derive the admissible edge set from variable roles.
-
-    Admitted directions: option->metric, option->objective, metric->metric,
-    metric->objective. Option pairs are never adjacent; objectives never
-    point at anything; bidirected (confounded) edges are admitted between
-    non-option pairs.
-    """
-    roles = {v.name: v.role for v in variables}
-    names = sorted(roles)
-    forb_adj: set[frozenset[str]] = set()
-    forb_dir: set[tuple[str, str]] = set()
-    for u, v in itertools.combinations(names, 2):
-        ru, rv = roles[u], roles[v]
-        if ru == Role.OPTION and rv == Role.OPTION:
-            forb_adj.add(frozenset((u, v)))
-        for a, b, ra, rb in ((u, v, ru, rv), (v, u, rv, ru)):
-            ok = ra in (Role.OPTION, Role.METRIC) and rb in (Role.METRIC, Role.OBJECTIVE)
-            if not ok:
-                forb_dir.add((a, b))
-    return StructuralConstraints(roles, frozenset(forb_adj), frozenset(forb_dir))
+    """The role constraints over ``variables``."""
+    return StructuralConstraints({v.name: v.role for v in variables})
 
 
 # --------------------------------------------------------------------------
@@ -554,7 +527,8 @@ def _orient_colliders(
 
 
 class _RuleEngine:
-    """Zhang's complete orientation rule set over a marked search graph."""
+    """Zhang's orientation rules without selection bias (R1-R4, R8-R10)
+over a marked search graph."""
 
     def __init__(
         self, g: _Graph, sepsets: Mapping[frozenset[str], frozenset[str]]
@@ -564,8 +538,7 @@ class _RuleEngine:
 
     def run(self) -> None:
         rules = (
-            self._r1, self._r2, self._r3, self._r4, self._r5,
-            self._r6, self._r7, self._r8, self._r9, self._r10,
+            self._r1, self._r2, self._r3, self._r4, self._r8, self._r9, self._r10,
         )
         changed = True
         while changed:
@@ -741,87 +714,6 @@ class _RuleEngine:
             return None
 
         return extend([d])
-
-    def _r5(self) -> bool:
-        # Uncovered circle path between a o-o b: everything on it becomes
-        # undirected (selection structure).
-        changed = False
-        g = self.g
-        for a, b in g.sorted_edges():
-            if g.mark_at(a, b) != Mark.CIRCLE or g.mark_at(b, a) != Mark.CIRCLE:
-                continue
-            path = self._find_circle_path(a, b)
-            if path is None:
-                continue
-            pairs = [(a, b)] + list(zip(path, path[1:]))
-            for u, v in pairs:
-                changed = g.set_mark(u, v, Mark.TAIL, "R5") or changed
-                changed = g.set_mark(v, u, Mark.TAIL, "R5") or changed
-        return changed
-
-    def _find_circle_path(self, a: str, b: str) -> list[str] | None:
-        """Uncovered path a, c, ..., d, b of circle-circle edges with c not
-        adjacent to b and d not adjacent to a."""
-        g = self.g
-
-        def circle_edge(u: str, v: str) -> bool:
-            return (
-                g.mark_at(u, v) == Mark.CIRCLE and g.mark_at(v, u) == Mark.CIRCLE
-            )
-
-        def extend(path: list[str]) -> list[str] | None:
-            tail = path[-1]
-            for w in g.neighbors(tail):
-                if w in path or not circle_edge(tail, w):
-                    continue
-                if len(path) >= 2 and g.has_edge(path[-2], w):
-                    continue
-                if len(path) == 1 and (w == b or g.has_edge(w, b)):
-                    continue  # first hop must not touch b
-                if w == b:
-                    if not g.has_edge(path[-1], a) and len(path) >= 2:
-                        return path + [w]
-                    continue
-                found = extend(path + [w])
-                if found is not None:
-                    return found
-            return None
-
-        return extend([a])
-
-    def _r6(self) -> bool:
-        # a --- b o-* c: the circle at b becomes a tail
-        changed = False
-        g = self.g
-        for b in g.nodes:
-            has_undirected = any(
-                g.mark_at(a, b) == Mark.TAIL and g.mark_at(b, a) == Mark.TAIL
-                for a in g.neighbors(b)
-            )
-            if not has_undirected:
-                continue
-            for c in g.neighbors(b):
-                if g.mark_at(c, b) == Mark.CIRCLE:
-                    changed = g.set_mark(c, b, Mark.TAIL, "R6") or changed
-        return changed
-
-    def _r7(self) -> bool:
-        # a --o b o-* c with a, c non-adjacent: the circle at b (toward c)
-        # becomes a tail
-        changed = False
-        g = self.g
-        for b in g.nodes:
-            for a in g.neighbors(b):
-                if not (
-                    g.mark_at(b, a) == Mark.TAIL and g.mark_at(a, b) == Mark.CIRCLE
-                ):
-                    continue
-                for c in g.neighbors(b):
-                    if c == a or g.has_edge(a, c):
-                        continue
-                    if g.mark_at(c, b) == Mark.CIRCLE:
-                        changed = g.set_mark(c, b, Mark.TAIL, "R7") or changed
-        return changed
 
     def _r8(self) -> bool:
         # a -> b -> c or a --o b -> c, with a o-> c: tail at a on a - c

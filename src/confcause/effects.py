@@ -17,15 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (
-    BinStrategy,
-    Dataset,
-    Discretization,
-    Kind,
-    Role,
-    discretize,
-    default_discretizations,
-)
+from .dataset import Dataset, Kind, Role, _equal_frequency_codes, discretize
 from .discovery import Pag, build_constraints, fci
 from .errors import (
     InputError,
@@ -162,11 +154,9 @@ def extract_paths(admg: Admg, objective: str) -> list[tuple[str, ...]]:
 def _coded_column(ds: Dataset, name: str, bins: int) -> np.ndarray:
     """Integer level codes for stratification; continuous columns are binned
     into equal-frequency levels, discrete kinds pass through."""
-    meta = ds.meta(name)
-    if meta.kind != Kind.CONTINUOUS:
+    if ds.meta(name).kind != Kind.CONTINUOUS:
         return ds.column(name).astype(np.int64)
-    spec = Discretization(name, BinStrategy.EQUAL_FREQUENCY, bins)
-    return discretize(ds, [spec]).column(name)
+    return _equal_frequency_codes(ds.column(name), bins, name)
 
 
 def ace_edge(
@@ -370,7 +360,7 @@ def learn_model(ds: Dataset, params: ModelParams = ModelParams()) -> tuple[Pag, 
     """Full structure pipeline: constraints from roles, discovery, resolution."""
     sc = build_constraints(ds.variables)
     pag = fci(ds, sc, alpha=params.alpha, max_cond_size=params.max_cond_size)
-    ds_disc = discretize(ds, default_discretizations(ds, params.bins))
+    ds_disc = discretize(ds, params.bins)
     admg = resolve_edges(pag, ds_disc, theta_ratio=params.theta_ratio, sc=sc)
     return pag, admg
 
@@ -407,5 +397,5 @@ def update_model(
         warm_adjacencies=warm,
         warm_sepsets=prev_sepsets,
     )
-    ds_disc = discretize(combined, default_discretizations(combined, params.bins))
+    ds_disc = discretize(combined, params.bins)
     return resolve_edges(pag, ds_disc, theta_ratio=params.theta_ratio, sc=sc)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Mapping
 
-from .dataset import Dataset, Kind, Role, VariableMeta
-from .discovery import Mark, Pag, StructuralConstraints
-from .errors import EngineError, UnknownVertex
+from .dataset import Dataset, Role, VariableMeta
+from .discovery import Mark, Pag, StructuralConstraints, _dot_nodes
+from .errors import EngineError, InputError, UnknownVertex
 from .stats import entropy, min_entropy_latent
 
 logger = logging.getLogger(__name__)
@@ -57,9 +57,6 @@ class Admg:
     def parents(self, v: str) -> tuple[str, ...]:
         return tuple(sorted(u for u, w in self.directed if w == v))
 
-    def children(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(w for u, w in self.directed if u == v))
-
     def spouses(self, v: str) -> tuple[str, ...]:
         """Vertices joined to v by a bidirected edge."""
         out = set()
@@ -95,15 +92,9 @@ class Admg:
         except CycleError as exc:
             raise EngineError(f"directed part contains a cycle: {exc}") from exc
 
-    def edge_count(self) -> int:
-        return len(self.directed) + len(self.bidirected)
-
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [
-                {"name": v.name, "role": v.role.value, "kind": v.kind.value}
-                for v in self.vertices
-            ],
+            "vertices": [v.to_json_dict() for v in self.vertices],
             "directed": [[u, v] for u, v in sorted(self.directed)],
             "bidirected": [sorted(pair) for pair in sorted(self.bidirected, key=sorted)],
             "notes": list(self.notes),
@@ -111,21 +102,13 @@ class Admg:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Admg":
-        vertices = tuple(
-            VariableMeta(e["name"], Role(e["role"]), Kind(e["kind"]))
-            for e in payload["vertices"]
-        )
+        vertices = tuple(map(VariableMeta.from_json_dict, payload["vertices"]))
         directed = frozenset((u, v) for u, v in payload.get("directed", []))
         bidirected = frozenset(frozenset(p) for p in payload.get("bidirected", []))
         return cls(vertices, directed, bidirected, tuple(payload.get("notes", ())))
 
     def to_dot(self, name: str = "model") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.vertices:
-            shape = {"option": "box", "metric": "ellipse", "objective": "diamond"}[
-                v.role.value
-            ]
-            lines.append(f'  "{v.name}" [shape={shape}];')
+        lines = _dot_nodes(name, self.vertices)
         for u, v in sorted(self.directed):
             lines.append(f'  "{u}" -> "{v}";')
         for pair in sorted(self.bidirected, key=sorted):
@@ -138,8 +121,8 @@ class Admg:
 def entropy_threshold(h_first: float, h_second: float, ratio: float = 0.8) -> float:
     """Latent-entropy budget for treating a dependence as pure confounding:
     a fraction of the simpler endpoint's marginal entropy."""
-    if ratio <= 0.0:
-        raise EngineError(f"ratio must be positive, got {ratio}", ratio=ratio)
+    if not ratio > 0.0:
+        raise InputError(f"ratio must be positive, got {ratio}", ratio=ratio)
     return ratio * min(h_first, h_second)
 
 
@@ -213,6 +196,10 @@ def resolve_edges(
     of effect given cause is emitted. Constraint- or cycle-violating emissions
     are repaired (reversed, else demoted to bidirected) and logged.
     """
+    if not theta_ratio > 0.0:
+        raise InputError(
+            f"theta_ratio must be positive, got {theta_ratio}", theta_ratio=theta_ratio
+        )
     asm = _Assembler(sc)
     marginal: dict[str, float] = {}
 

@@ -119,10 +119,7 @@ class Scm:
 
     def to_json_dict(self) -> dict:
         return {
-            "variables": [
-                {"name": v.name, "role": v.role.value, "kind": v.kind.value}
-                for v in self.variables
-            ],
+            "variables": [v.to_json_dict() for v in self.variables],
             "mechanisms": {
                 name: mech.to_json_dict()
                 for name, mech in sorted(self.mechanisms.items())
@@ -134,10 +131,7 @@ class Scm:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Scm":
-        variables = tuple(
-            VariableMeta(e["name"], Role(e["role"]), Kind(e["kind"]))
-            for e in payload["variables"]
-        )
+        variables = tuple(map(VariableMeta.from_json_dict, payload["variables"]))
         mechanisms = {
             name: Mechanism.from_json_dict(m)
             for name, m in payload["mechanisms"].items()

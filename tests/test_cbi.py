@@ -19,9 +19,7 @@ from confcause.cbi import (
     mine_predicates,
 )
 from confcause.dataset import (
-    BinStrategy,
     Dataset,
-    Discretization,
     Kind,
     Role,
     VariableMeta,
@@ -168,8 +166,7 @@ class TestMining:
         got = _numeric_thresholds(ds, "load")
         assert all(type(t) is float for t in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
-        spec = Discretization("load", BinStrategy.EQUAL_FREQUENCY, 5)
-        codes = discretize(ds, [spec]).column("load")
+        codes = discretize(ds, 5).column("load")
         exceeded = sum((col > t).astype(np.int64) for t in got)
         np.testing.assert_array_equal(codes, exceeded)
 

@@ -71,7 +71,20 @@ class TestLearn:
              "--out", tmp_path], capsys
         )
         assert code == 2
-        assert "error" in err or "no such" in err.lower()
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert payload["details"] == {"path": str(tmp_path / "nope.csv")}
+
+    @pytest.mark.parametrize("ratio", ["0", "-1", "nan"])
+    def test_bad_theta_ratio_is_exit_2(self, chain_files, tmp_path, capsys, ratio):
+        data, roles = chain_files
+        code, _, err = run(
+            ["learn", "--data", data, "--roles", roles, "--theta-ratio", ratio,
+             "--out", tmp_path], capsys
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
+        assert not (tmp_path / "model.json").exists()
 
     def test_non_finite_cell_is_exit_2(self, chain_files, tmp_path, capsys):
         data, roles = chain_files

@@ -26,7 +26,6 @@ from confcause.dataset import (
     Role,
     VariableMeta,
     _parse_cell,
-    default_discretizations,
     discretize,
     load_dataset,
 )
@@ -198,8 +197,8 @@ def test_statistics_ignore_row_and_column_order(system, seed):
     scm = generate_scm(3, 5, 1, 0.5, seed=system)
     ds = sample(scm, 400)
     shuffled = _reorder(ds, seed)
-    disc = discretize(ds, default_discretizations(ds, 5))
-    disc_shuffled = discretize(shuffled, default_discretizations(shuffled, 5))
+    disc = discretize(ds, 5)
+    disc_shuffled = discretize(shuffled, 5)
     names = list(ds.names)
     for u, v in itertools.combinations(names, 2):
         assert entropy(disc, [u, v]) == entropy(disc_shuffled, [u, v])

@@ -1,16 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from confcause.dataset import (
-    BinStrategy,
     Dataset,
-    Discretization,
     Kind,
     Role,
     VariableMeta,
-    default_discretizations,
     discretize,
     load_dataset,
 )
@@ -20,7 +18,6 @@ from confcause.errors import (
     EmptyDataset,
     InputError,
     MissingRole,
-    NonDiscreteVariable,
     NonNumericCell,
     SchemaMismatch,
     UnknownVariable,
@@ -192,9 +189,9 @@ class TestDiscretize:
         meta = (VariableMeta("x", Role.METRIC, Kind.CONTINUOUS),)
         return Dataset(meta, {"x": np.asarray(values, dtype=float)}, len(values))
 
-    def test_equal_width_bins_right_closed(self):
+    def test_bins_right_closed(self):
         ds = self._continuous([0.0, 0.5, 0.25, 1.0, 0.75])
-        out = discretize(ds, [Discretization("x", BinStrategy.EQUAL_WIDTH, 2)])
+        out = discretize(ds, 2)
         # interior edge at 0.5; values equal to the edge land in the lower bin
         np.testing.assert_array_equal(out.column("x"), [0, 0, 0, 1, 1])
         assert out.meta("x").kind == Kind.DISCRETE
@@ -202,50 +199,36 @@ class TestDiscretize:
     def test_equal_frequency_balances_counts(self):
         rng = np.random.default_rng(2)
         ds = self._continuous(rng.exponential(size=1000))
-        out = discretize(ds, [Discretization("x", BinStrategy.EQUAL_FREQUENCY, 5)])
+        out = discretize(ds, 5)
         counts = np.bincount(out.column("x"), minlength=5)
         assert counts.min() >= 150  # heavily skewed input still splits evenly
 
     def test_constant_column_single_bin(self):
         ds = self._continuous([3.5] * 9)
-        out = discretize(ds, [Discretization("x", BinStrategy.EQUAL_FREQUENCY, 4)])
+        out = discretize(ds, 4)
         assert set(out.column("x").tolist()) == {0}
-
-    def test_specs_are_reusable_after_a_constant_column(self):
-        ds = self._continuous([3.5] * 9)
-        specs = [Discretization("x", BinStrategy.EQUAL_FREQUENCY, 4)]
-        first = discretize(ds, specs)
-        again = discretize(ds, specs)
-        assert specs == [Discretization("x", BinStrategy.EQUAL_FREQUENCY, 4)]
-        np.testing.assert_array_equal(first.column("x"), again.column("x"))
 
     def test_bad_bin_count(self):
         ds = self._continuous([1.0, 2.0])
         with pytest.raises(BadBinCount):
-            discretize(ds, [Discretization("x", BinStrategy.EQUAL_WIDTH, 1)])
+            discretize(ds, 1)
 
-    def test_pass_through_requires_discrete(self):
-        ds = self._continuous([1.0, 2.0])
-        with pytest.raises(NonDiscreteVariable):
-            discretize(ds, [Discretization("x", BinStrategy.PASS_THROUGH)])
-
-    def test_binning_discrete_input_rejected(self):
-        meta = (VariableMeta("x", Role.OPTION, Kind.DISCRETE),)
-        ds = Dataset(meta, {"x": np.array([0, 1, 2])}, 3)
-        with pytest.raises(NonDiscreteVariable):
-            discretize(ds, [Discretization("x", BinStrategy.EQUAL_WIDTH, 2)])
-
-    def test_defaults_cover_continuous_only(self, loaded):
-        specs = default_discretizations(loaded, bins=5)
-        strategies = {s.variable: s.strategy for s in specs}
+    def test_bins_continuous_columns_only(self, loaded):
+        out = discretize(loaded, 5)
         # discrete-coded inputs keep their levels; only continuous ones bin
-        assert set(strategies) == {"latency", "throughput"}
-        assert set(strategies.values()) == {BinStrategy.EQUAL_FREQUENCY}
+        for v in loaded.variables:
+            if v.name in ("latency", "throughput"):
+                assert out.meta(v.name).kind == Kind.DISCRETE
+            else:
+                assert out.meta(v.name) == v
+                assert out.column(v.name) is loaded.column(v.name)
+        assert loaded.meta("latency").kind == Kind.CONTINUOUS
 
 
 class TestSources:
     """A ``str`` with a newline, or whose first non-blank character is
-    ``{``, is text; any other ``str`` is a path that must exist."""
+    ``{``, is text; any other ``str``, like a ``Path``, is a path that must
+    exist."""
 
     def test_str_path_is_read(self, tmp_path):
         data, roles = tmp_path / "t.csv", tmp_path / "r.json"
@@ -253,12 +236,13 @@ class TestSources:
         roles.write_text(json.dumps(ROLES))
         assert load_dataset(str(data), str(roles)).sample_count == 4
 
-    def test_missing_table_path_is_named(self, tmp_path):
-        missing = str(tmp_path / "missing" / "data.csv")
+    @pytest.mark.parametrize("as_source", [str, Path])
+    def test_missing_table_path_is_named(self, tmp_path, as_source):
+        missing = tmp_path / "missing" / "data.csv"
         with pytest.raises(InputError) as err:
-            load_dataset(missing, json.dumps(ROLES))
+            load_dataset(as_source(missing), json.dumps(ROLES))
         assert type(err.value) is InputError
-        assert err.value.details == {"path": missing}
+        assert err.value.details == {"path": str(missing)}
         assert err.value.exit_code == 2
 
     def test_missing_roles_path_is_named(self, tmp_path):

@@ -1,10 +1,13 @@
 """Graph-learning behavior on systems whose answer is known by construction."""
 
+import itertools
 import logging
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
 from confcause.discovery import Mark, Pag, _FisherZTester, build_constraints, fci
@@ -193,6 +196,36 @@ def test_role_coverage_required():
     )
     with pytest.raises(MissingRole):
         fci(ds, build_constraints(variables))
+
+
+def _set_based_constraints(roles):
+    """The forbidden adjacencies and directions, enumerated pair by pair as
+    ``build_constraints`` once stored them."""
+    forb_adj, forb_dir = set(), set()
+    for u, v in itertools.combinations(sorted(roles), 2):
+        ru, rv = roles[u], roles[v]
+        if ru == Role.OPTION and rv == Role.OPTION:
+            forb_adj.add(frozenset((u, v)))
+        for a, b, ra, rb in ((u, v, ru, rv), (v, u, rv, ru)):
+            ok = ra in (Role.OPTION, Role.METRIC) and rb in (Role.METRIC, Role.OBJECTIVE)
+            if not ok:
+                forb_dir.add((a, b))
+    return forb_adj, forb_dir
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(list(Role)), min_size=2, max_size=8))
+def test_role_constraints_match_the_pair_sets(role_list):
+    roles = {f"v{i}": role for i, role in enumerate(role_list)}
+    sc = build_constraints([_meta(name, role) for name, role in roles.items()])
+    forb_adj, forb_dir = _set_based_constraints(roles)
+    for u, v in itertools.permutations(roles, 2):
+        adjacency = frozenset((u, v)) not in forb_adj
+        assert sc.allows_adjacency(u, v) == adjacency
+        assert sc.allows_direction(u, v) == (adjacency and (u, v) not in forb_dir)
+        assert sc.allows_bidirected(u, v) == (
+            adjacency and Role.OPTION not in (roles[u], roles[v])
+        )
 
 
 def test_json_roundtrip():

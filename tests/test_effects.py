@@ -306,13 +306,13 @@ def test_cpwe_bins_each_column_once(monkeypatch):
     ds = sample(generate_scm(3, 8, 2, 0.4, seed=2), 2000)
     _, admg = learn_model(ds)
     binned: list[str] = []
-    real = effects.discretize
+    real = effects._equal_frequency_codes
 
-    def counting(data, specs):
-        binned.extend(spec.variable for spec in specs)
-        return real(data, specs)
+    def counting(col, bins, name):
+        binned.append(name)
+        return real(col, bins, name)
 
-    monkeypatch.setattr(effects, "discretize", counting)
+    monkeypatch.setattr(effects, "_equal_frequency_codes", counting)
     diags = cpwe(ds, admg)
     assert binned and len(binned) == len(set(binned))
 

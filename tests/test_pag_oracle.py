@@ -1,0 +1,162 @@
+"""The structure search checked by meaning: with every CI test answered by
+m-separation in the generating model, ``fci`` must return a sound PAG.
+
+The oracle tester has the interface of ``discovery._FisherZTester`` and
+answers from ``scm.graph``, with each bidirected edge taken as a latent
+parent of its two endpoints. Soundness follows Zhang (2008, AIJ 172): the
+adjacencies are the true MAG's, an arrowhead at v means v is not an
+ancestor of u, and a tail at u means u is an ancestor of v. Rules R5-R7,
+which only selection bias needs, are not part of the search.
+"""
+
+import itertools
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from confcause import discovery
+from confcause.dataset import Dataset, Role
+from confcause.discovery import Mark, build_constraints, fci
+from confcause.resolve import Admg
+from confcause.synthbench import generate_scm
+
+
+class _OracleTester:
+    """CI tests answered by m-separation in ``graph``."""
+
+    def __init__(self, graph: Admg) -> None:
+        self.names = tuple(sorted(graph.vertex_names))
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.parents = {v: set(graph.parents(v)) for v in self.names}
+        for pair in graph.bidirected:
+            latent = "latent:" + "|".join(sorted(pair))
+            self.parents[latent] = set()
+            for v in pair:
+                self.parents[v].add(latent)
+        self.test_count = 0
+        self.untestable_count = 0
+        self._cache: dict[tuple[str, str, frozenset[str]], bool] = {}
+
+    def separated(self, x: str, y: str, given: frozenset[str]) -> bool:
+        """d-separation of x and y given ``given`` in the graph with its
+        latents: x and y are disconnected in the moral graph of the
+        ancestors of {x, y} | given once ``given`` is removed."""
+        key = (x, y, given)
+        if key in self._cache:
+            return self._cache[key]
+        ancestral: set[str] = set()
+        stack = [x, y, *given]
+        while stack:
+            v = stack.pop()
+            if v not in ancestral:
+                ancestral.add(v)
+                stack.extend(self.parents[v])
+        moral: dict[str, set[str]] = {v: set() for v in ancestral}
+        for v in ancestral:
+            for p in self.parents[v]:
+                moral[v].add(p)
+                moral[p].add(v)
+            for a, b in itertools.combinations(self.parents[v], 2):
+                moral[a].add(b)
+                moral[b].add(a)
+        reached, stack = {x}, [x]
+        while stack:
+            for w in moral[stack.pop()] - given - reached:
+                reached.add(w)
+                stack.append(w)
+        self._cache[key] = y not in reached
+        return self._cache[key]
+
+    def first_separators(self, rows, stops):
+        hits, start = [], 0
+        for stop in stops:
+            hit = None
+            for i in range(start, stop):
+                x, y, *given = (self.names[j] for j in rows[i])
+                self.test_count += 1
+                if self.separated(x, y, frozenset(given)):
+                    hit = i
+                    break
+            hits.append(hit)
+            start = stop
+        return hits
+
+
+def _oracle_pag(scm):
+    oracle = _OracleTester(scm.graph)
+    # fci reads only the variables of its dataset when the tester is the oracle
+    blank = Dataset(scm.variables, {v.name: np.zeros(1) for v in scm.variables}, 1)
+    with mock.patch.object(discovery, "_FisherZTester", lambda ds, alpha: oracle):
+        pag = fci(blank, build_constraints(scm.variables),
+                  max_cond_size=len(scm.variables))
+    return pag, oracle
+
+
+def _mag_adjacencies(oracle: _OracleTester) -> set[frozenset[str]]:
+    """Pairs no subset of the other observed variables separates."""
+    names = oracle.names
+    adjacent = set()
+    for u, v in itertools.combinations(names, 2):
+        rest = [w for w in names if w not in (u, v)]
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(rest, k) for k in range(len(rest) + 1)
+        )
+        if not any(oracle.separated(u, v, frozenset(s)) for s in subsets):
+            adjacent.add(frozenset((u, v)))
+    return adjacent
+
+
+def _assert_sound(scm) -> None:
+    pag, oracle = _oracle_pag(scm)
+    # a sound orientation never contradicts the role-derived marks
+    assert not pag.conflicts
+    assert set(pag.adjacencies()) == _mag_adjacencies(oracle)
+    roles = {v.name: v.role for v in scm.variables}
+    ancestors = {v: scm.graph.ancestors(v) for v in oracle.names}
+    for e in pag.edges:
+        assert not roles[e.u] == roles[e.v] == Role.OPTION, e
+        for here, there, mark in ((e.u, e.v, e.mark_u), (e.v, e.u, e.mark_v)):
+            if mark == Mark.ARROW:
+                assert here not in ancestors[there], e
+            elif mark == Mark.TAIL:
+                assert here in ancestors[there], e
+
+
+SEEDED = [
+    (shape, 0.5, n_latents, seed)
+    for shape in ((2, 5, 1), (3, 3, 2), (1, 6, 1))
+    for n_latents in (0, 2)
+    for seed in range(8)
+] + [
+    # in these, only the possible-d-sep pass removes a non-adjacent pair
+    ((1, 5, 1), 0.3, 2, 29),
+    ((2, 5, 1), 0.3, 2, 16),
+    ((2, 2, 2), 0.8, 2, 28),
+    ((3, 3, 2), 0.5, 2, 18),
+]
+
+
+@pytest.mark.parametrize("shape, density, n_latents, seed", SEEDED)
+def test_oracle_search_is_sound_on_seeded_systems(shape, density, n_latents, seed):
+    scm = generate_scm(*shape, density, seed=seed, n_latents=n_latents)
+    _assert_sound(scm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_options=st.integers(1, 3),
+    n_metrics=st.integers(1, 5),
+    n_objectives=st.integers(1, 2),
+    density=st.sampled_from([0.3, 0.5, 0.8]),
+    n_latents=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_oracle_search_is_sound(n_options, n_metrics, n_objectives, density,
+                                n_latents, seed):
+    n_metrics = min(n_metrics, 8 - n_options - n_objectives)
+    scm = generate_scm(n_options, n_metrics, n_objectives, density,
+                       seed=seed, n_latents=n_latents)
+    _assert_sound(scm)

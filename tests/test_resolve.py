@@ -7,7 +7,7 @@ import pytest
 
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
 from confcause.discovery import Mark, Pag, PagEdge, build_constraints, fci
-from confcause.errors import EngineError
+from confcause.errors import EngineError, InputError
 from confcause.resolve import Admg, entropy_threshold, resolve_edges
 from confcause.synthbench import sample
 
@@ -39,9 +39,15 @@ class TestEntropyBranch:
         assert entropy_threshold(2.0, 1.0) == pytest.approx(0.8)
         assert entropy_threshold(1.0, 3.0, ratio=0.5) == pytest.approx(0.5)
 
-    def test_nonpositive_ratio_rejected(self):
-        with pytest.raises(EngineError):
-            entropy_threshold(1.0, 1.0, ratio=0.0)
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
+    def test_nonpositive_ratio_rejected(self, ratio):
+        with pytest.raises(InputError):
+            entropy_threshold(1.0, 1.0, ratio=ratio)
+        # checked on entry, so it fails with no circle edge left to resolve
+        ds = pair_dataset([(0, 0, 5), (1, 1, 5)])
+        decided = Pag(ds.variables, (PagEdge("u", "v", Mark.TAIL, Mark.ARROW),), {})
+        with pytest.raises(InputError):
+            resolve_edges(decided, ds, theta_ratio=ratio)
 
     def test_deterministic_copy_is_judged_confounded(self):
         # H(Z)=0 for a functional pair: strictly below any positive cutoff
@@ -166,13 +172,13 @@ class TestAdmg:
 
 
 def test_full_pipeline_leaves_no_ambiguity():
-    from confcause.dataset import default_discretizations, discretize
+    from confcause.dataset import discretize
 
     scm = confounded_system(seed=4)
     ds = sample(scm, 8000)
     sc = build_constraints(ds.variables)
     pag = fci(ds, sc)
-    binned = discretize(ds, default_discretizations(ds, bins=5))
+    binned = discretize(ds, 5)
     admg = resolve_edges(pag, binned, sc=sc)
     # every learned adjacency must end up either directed or bidirected
     resolved = {frozenset((u, v)) for u, v in admg.directed} | set(admg.bidirected)
