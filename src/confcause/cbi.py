@@ -12,9 +12,9 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataset import Dataset, Kind, Role, _equal_frequency_edges
 from .errors import InputError
@@ -107,6 +107,10 @@ def _numeric_thresholds(ds: Dataset, name: str) -> list[float]:
     return [float(v) for v in levels[:-1]]
 
 
+def _two_sided_z(ci_level: float) -> float:
+    return NormalDist().inv_cdf(0.5 + ci_level / 2.0)
+
+
 def importance(pred: Predicate, ci_level: float = 0.95) -> float:
     """Harmonic mean of sensitivity-increase and failure coverage.
 
@@ -132,8 +136,7 @@ def importance(pred: Predicate, ci_level: float = 0.95) -> float:
         failure * (1.0 - failure) / pred.observed_true_count
         + context * (1.0 - context) / pred.observed_count
     )
-    z = float(norm.ppf(0.5 + ci_level / 2.0))
-    if increase - z * se <= 0.0:
+    if increase - _two_sided_z(ci_level) * se <= 0.0:
         return 0.0
     if pred.failing_true_count <= 1 or pred.failing_observed_count <= 1:
         return 0.0  # log-coverage undefined or zero

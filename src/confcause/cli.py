@@ -24,12 +24,13 @@ from typing import Sequence
 
 from . import __version__
 from .cbi import cbi_rank, fault_labels_for
-from .dataset import load_dataset
+from .dataset import Role, _as_text, _parse_roles, load_dataset
 from .effects import Diagnosis, ModelParams, cpwe, diagnose, learn_model
-from .errors import EmptyResultError, EngineError
+from .errors import EmptyResultError, EngineError, InputError
 from .synthbench import (
     GroundTruth,
     curate_ground_truth,
+    evaluate,
     generate_scm,
     run_benchmark,
     sample,
@@ -173,20 +174,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    from .errors import InputError
-    from .synthbench import evaluate
+def _read_json_object(path: str) -> dict:
+    try:
+        payload = json.loads(_as_text(Path(path)))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path!r} is not valid JSON: {exc}", path=path) from exc
+    if not isinstance(payload, dict):
+        raise InputError(f"{path!r} must hold a JSON object", path=path)
+    return payload
 
-    with open(args.pred, encoding="utf-8") as handle:
-        pred_payload = json.load(handle)
-    with open(args.truth, encoding="utf-8") as handle:
-        truth = GroundTruth.from_json_dict(json.load(handle))
-    with open(args.roles, encoding="utf-8") as handle:
-        roles = json.load(handle)
-    options = sorted(
-        name for name, spec in roles.items()
-        if (spec.get("role") if isinstance(spec, dict) else spec) == "option"
-    )
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    pred_payload = _read_json_object(args.pred)
+    truth = GroundTruth.from_json_dict(_read_json_object(args.truth))
+    roles = _parse_roles(_as_text(Path(args.roles)))
+    options = sorted(name for name, (role, _) in roles.items() if role == Role.OPTION)
     if "objective" not in pred_payload:
         raise InputError("prediction file lacks an 'objective' field", path=args.pred)
     causes = tuple(pred_payload.get("root_causes", ()))

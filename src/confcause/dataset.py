@@ -133,21 +133,6 @@ class Dataset:
 
     # -- construction helpers ----------------------------------------------
 
-    def with_columns(
-        self,
-        new_columns: Mapping[str, np.ndarray],
-        new_metas: Mapping[str, VariableMeta] | None = None,
-    ) -> "Dataset":
-        cols = dict(self.columns)
-        metas = list(self.variables)
-        for name, arr in new_columns.items():
-            if name not in cols:
-                raise UnknownVariable(f"no such variable: {name}", variable=name)
-            cols[name] = arr
-        if new_metas:
-            metas = [new_metas.get(v.name, v) for v in metas]
-        return Dataset(tuple(metas), cols, self.sample_count)
-
     def concat(self, other: "Dataset") -> "Dataset":
         """Row-concatenate two schema-identical datasets."""
         if self.schema() != other.schema():
@@ -518,10 +503,13 @@ def discretize(ds: Dataset, bins: int) -> Dataset:
     """Return a new dataset with every continuous column replaced by its
     codes in ``bins`` equal-frequency bins (kind becomes Discrete). The
     input dataset is never mutated."""
-    binned = [v for v in ds.variables if v.kind == Kind.CONTINUOUS]
-    if not binned:
+    if all(v.kind != Kind.CONTINUOUS for v in ds.variables):
         return ds
-    return ds.with_columns(
-        {v.name: _equal_frequency_codes(ds.column(v.name), bins, v.name) for v in binned},
-        {v.name: replace(v, kind=Kind.DISCRETE, domain=None) for v in binned},
-    )
+    cols = dict(ds.columns)
+    metas = []
+    for v in ds.variables:
+        if v.kind == Kind.CONTINUOUS:
+            cols[v.name] = _equal_frequency_codes(ds.column(v.name), bins, v.name)
+            v = replace(v, kind=Kind.DISCRETE, domain=None)
+        metas.append(v)
+    return Dataset(tuple(metas), cols, ds.sample_count)

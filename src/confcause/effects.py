@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .dataset import Dataset, Kind, Role, _equal_frequency_codes, discretize
 from .discovery import Pag, build_constraints, fci
 from .errors import (
+    BadBinCount,
     InputError,
     NoPathsFound,
     SchemaMismatch,
@@ -31,14 +32,35 @@ from .stats import _joint_codes
 logger = logging.getLogger(__name__)
 
 
+def _record_json(value):
+    """A dataclass as a dict of its fields, recursively, with tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _record_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_record_json(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Knobs shared by structure learning and resolution."""
+    """Knobs shared by structure learning and resolution, checked on
+    construction so that a bad value fails before any search runs."""
 
     alpha: float = 0.05
     max_cond_size: int = 3
     theta_ratio: float = 0.8
     bins: int = 5
+
+    def __post_init__(self) -> None:
+        if not self.theta_ratio > 0.0:
+            raise InputError(
+                f"theta_ratio must be positive, got {self.theta_ratio}",
+                theta_ratio=self.theta_ratio,
+            )
+        if self.bins < 2:
+            raise BadBinCount(
+                f"bin_count must be >= 2, got {self.bins}", bin_count=self.bins
+            )
 
 
 @dataclass(frozen=True)
@@ -64,12 +86,7 @@ class CausalPath:
     edge_aces: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "objective": self.objective,
-            "path_ace": self.path_ace,
-            "edge_aces": list(self.edge_aces),
-        }
+        return _record_json(self)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,21 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cbi import cbi_root_causes
+from .cbi import cbi_root_causes, fault_labels_for
 from .dataset import Dataset, Kind, Role, VariableMeta
-from .effects import Diagnosis, ModelParams, ace_edge, diagnose, learn_model
+from .effects import (
+    Diagnosis,
+    ModelParams,
+    _record_json,
+    ace_edge,
+    diagnose,
+    learn_model,
+)
 from .errors import (
     EngineError,
     InputError,
@@ -40,16 +47,24 @@ EFFECT_EPS = 1e-6  # smallest total linear effect that counts as causal
 # model definition
 
 
+def _record_fields(cls: type, payload: Mapping, derived: Sequence[str] = ()) -> dict:
+    """The JSON fields of a ``cls`` record, lists as tuples. A key that is
+    not a field of ``cls``, or names a ``derived`` one, raises InputError."""
+    unknown = sorted(set(payload) - ({f.name for f in fields(cls)} - set(derived)))
+    if unknown:
+        raise InputError(f"unknown {cls.__name__} fields: {unknown}", fields=unknown)
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
+
+
 @dataclass(frozen=True)
 class Mechanism:
     """Generating equation for one variable.
 
     Kinds:
       ``uniform_levels``     root drawn uniformly from {0..levels-1};
-      ``linear``             intercept + weights . parents + noise;
+      ``linear``             weights . parents + noise;
       ``threshold_levels``   the linear score cut at ``thresholds`` into codes;
-      ``boolean_threshold``  1 when the linear score exceeds thresholds[0];
-      ``cpt``                row lookup of parent codes in a conditional table.
+      ``boolean_threshold``  1 when the linear score exceeds thresholds[0].
     Hidden parents model latent confounding and enter the linear score with
     their own weights.
     """
@@ -57,45 +72,18 @@ class Mechanism:
     kind: str
     parents: tuple[str, ...] = ()
     weights: tuple[float, ...] = ()
-    intercept: float = 0.0
     noise_scale: float = 1.0
     levels: int = 0
     thresholds: tuple[float, ...] = ()
     hidden_parents: tuple[str, ...] = ()
     hidden_weights: tuple[float, ...] = ()
-    cpt: tuple[tuple[tuple[int, ...], tuple[float, ...]], ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parents": list(self.parents),
-            "weights": list(self.weights),
-            "intercept": self.intercept,
-            "noise_scale": self.noise_scale,
-            "levels": self.levels,
-            "thresholds": list(self.thresholds),
-            "hidden_parents": list(self.hidden_parents),
-            "hidden_weights": list(self.hidden_weights),
-            "cpt": [[list(k), list(v)] for k, v in self.cpt],
-        }
+        return _record_json(self)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Mechanism":
-        return cls(
-            kind=payload["kind"],
-            parents=tuple(payload.get("parents", ())),
-            weights=tuple(payload.get("weights", ())),
-            intercept=float(payload.get("intercept", 0.0)),
-            noise_scale=float(payload.get("noise_scale", 1.0)),
-            levels=int(payload.get("levels", 0)),
-            thresholds=tuple(payload.get("thresholds", ())),
-            hidden_parents=tuple(payload.get("hidden_parents", ())),
-            hidden_weights=tuple(payload.get("hidden_weights", ())),
-            cpt=tuple(
-                (tuple(int(x) for x in k), tuple(float(x) for x in v))
-                for k, v in payload.get("cpt", ())
-            ),
-        )
+        return cls(**_record_fields(cls, payload))
 
 
 @dataclass(frozen=True)
@@ -106,7 +94,6 @@ class Scm:
     graph: Admg
     mechanisms: Mapping[str, Mechanism]
     hidden: tuple[str, ...] = ()
-    hidden_scale: float = 1.0
     seed: int = 0
 
     @property
@@ -125,12 +112,12 @@ class Scm:
                 for name, mech in sorted(self.mechanisms.items())
             },
             "hidden": list(self.hidden),
-            "hidden_scale": self.hidden_scale,
             "seed": self.seed,
         }
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Scm":
+        _record_fields(cls, payload, derived=("graph",))
         variables = tuple(map(VariableMeta.from_json_dict, payload["variables"]))
         mechanisms = {
             name: Mechanism.from_json_dict(m)
@@ -140,7 +127,6 @@ class Scm:
             variables,
             mechanisms,
             hidden=tuple(payload.get("hidden", ())),
-            hidden_scale=float(payload.get("hidden_scale", 1.0)),
             seed=int(payload.get("seed", 0)),
         )
 
@@ -149,7 +135,6 @@ def scm_from_mechanisms(
     variables: Sequence[VariableMeta],
     mechanisms: Mapping[str, Mechanism],
     hidden: Sequence[str] = (),
-    hidden_scale: float = 1.0,
     seed: int = 0,
 ) -> Scm:
     """Assemble an Scm, deriving the mixed graph from the mechanisms: directed
@@ -177,7 +162,7 @@ def scm_from_mechanisms(
         for a, b in itertools.combinations(sorted(users), 2):
             bidirected.add(frozenset((a, b)))
     graph = Admg(tuple(variables), frozenset(directed), frozenset(bidirected))
-    return Scm(tuple(variables), graph, dict(mechanisms), tuple(hidden), hidden_scale, seed)
+    return Scm(tuple(variables), graph, dict(mechanisms), tuple(hidden), seed)
 
 
 def with_seed(scm: Scm, seed: int) -> Scm:
@@ -206,7 +191,7 @@ def scale_edge(scm: Scm, edge: tuple[str, str], factor: float) -> Scm:
 def _linear_score(
     mech: Mechanism, values: Mapping[str, np.ndarray], noise: np.ndarray
 ) -> np.ndarray:
-    score = np.full(noise.shape[0], mech.intercept, dtype=np.float64)
+    score = np.zeros(noise.shape[0], dtype=np.float64)
     for w, p in zip(mech.weights, mech.parents):
         score += w * values[p].astype(np.float64)
     for w, h in zip(mech.hidden_weights, mech.hidden_parents):
@@ -229,26 +214,6 @@ def _materialize(
         if forced is not None:
             return np.full(n, int(forced), dtype=np.int64)
         return draw.astype(np.int64)
-    if mech.kind == "cpt":
-        u = rng.random(n)
-        if forced is not None:
-            return np.full(n, int(forced), dtype=np.int64)
-        table = {k: np.cumsum(v) for k, v in mech.cpt}
-        if mech.parents:
-            parent_codes = np.column_stack(
-                [values[p].astype(np.int64) for p in mech.parents]
-            )
-        else:
-            parent_codes = np.zeros((n, 0), dtype=np.int64)
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            key = tuple(int(c) for c in parent_codes[i])
-            if key not in table:
-                raise EngineError(
-                    f"cpt for {name!r} lacks a row for parents {key}", variable=name
-                )
-            out[i] = int(np.searchsorted(table[key], u[i], side="right"))
-        return out
     noise = rng.standard_normal(n)
     if mech.kind == "linear":
         if forced is not None:
@@ -286,7 +251,7 @@ def intervene(scm: Scm, assignments: Mapping[str, float], n: int) -> Dataset:
     rng = np.random.default_rng(scm.seed)
     values: dict[str, np.ndarray] = {}
     for h in sorted(scm.hidden):
-        values[h] = scm.hidden_scale * rng.standard_normal(n)
+        values[h] = rng.standard_normal(n)
     for name in scm.graph.topological_order():
         forced = assignments.get(name)
         values[name] = _materialize(
@@ -310,7 +275,7 @@ def interventional_ace(
     mech = scm.mechanisms.get(treatment)
     if mech is None:
         raise UnknownVertex(f"no such vertex: {treatment!r}", vertex=treatment)
-    if mech.kind in ("uniform_levels", "cpt"):
+    if mech.kind == "uniform_levels":
         n_levels = mech.levels
     elif mech.kind == "threshold_levels":
         n_levels = len(mech.thresholds) + 1
@@ -405,15 +370,14 @@ def generate_scm(
         ]
     )
 
-    def linear_mech(name: str, kind: str, thresholds: tuple[float, ...] = ()) -> Mechanism:
+    def linear_mech(name: str) -> Mechanism:
         ps = parents[name]
         hs = hidden_of[name]
         return Mechanism(
-            kind=kind,
+            kind="linear",
             parents=tuple(p for p, _ in ps),
             weights=tuple(w for _, w in ps),
             noise_scale=noise_scale,
-            thresholds=thresholds,
             hidden_parents=tuple(h for h, _ in hs),
             hidden_weights=tuple(w for _, w in hs),
         )
@@ -421,31 +385,27 @@ def generate_scm(
     mechanisms: dict[str, Mechanism] = {
         o: Mechanism(kind="uniform_levels", levels=option_levels) for o in opts
     }
-    for m in mets:
-        mechanisms[m] = linear_mech(m, "linear")
+    for name in mets + objs:
+        mechanisms[name] = linear_mech(name)
+    if boolean_objectives:
+        pilot = scm_from_mechanisms(variables, mechanisms, hidden, seed=int(seed) + 1)
+        mechanisms.update(_boolean_cuts(pilot, objs[:boolean_objectives], fail_rate))
+    return scm_from_mechanisms(tuple(variables), mechanisms, hidden, seed=int(seed))
 
-    # boolean objectives need a calibrated cut: sample the raw score first
-    pilot: Scm | None = None
-    for i, y in enumerate(objs):
-        if i < boolean_objectives:
-            if pilot is None:
-                pilot_vars = tuple(
-                    v if v.kind != Kind.BOOLEAN else replace(v, kind=Kind.CONTINUOUS)
-                    for v in variables
-                )
-                pilot_mechs = dict(mechanisms)
-                for j, yy in enumerate(objs):
-                    pilot_mechs[yy] = linear_mech(yy, "linear")
-                pilot = scm_from_mechanisms(
-                    pilot_vars, pilot_mechs, hidden, 1.0, seed=int(seed) + 1
-                )
-                pilot_data = sample(pilot, 3000)
-            cut = float(np.quantile(pilot_data.column(y), fail_rate))
-            mechanisms[y] = linear_mech(y, "boolean_threshold", thresholds=(cut,))
-        else:
-            mechanisms[y] = linear_mech(y, "linear")
 
-    return scm_from_mechanisms(tuple(variables), mechanisms, hidden, 1.0, seed=int(seed))
+def _boolean_cuts(
+    pilot: Scm, objectives: Sequence[str], fail_rate: float
+) -> dict[str, Mechanism]:
+    """Each of the linear ``objectives`` of ``pilot`` made boolean, cut at the
+    ``fail_rate`` quantile of its score in a 3,000-row sample of ``pilot``."""
+    data = sample(pilot, 3000)
+    return {
+        y: replace(
+            pilot.mechanisms[y], kind="boolean_threshold",
+            thresholds=(float(np.quantile(data.column(y), fail_rate)),),
+        )
+        for y in objectives
+    }
 
 
 # --------------------------------------------------------------------------
@@ -460,12 +420,7 @@ class FaultEntry:
     true_root_causes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "rule": self.rule,
-            "fault_row_indices": list(self.fault_row_indices),
-            "true_root_causes": list(self.true_root_causes),
-        }
+        return _record_json(self)
 
 
 @dataclass(frozen=True)
@@ -481,21 +436,16 @@ class GroundTruth:
         )
 
     def to_json_dict(self) -> dict:
-        return {"faults": [e.to_json_dict() for e in self.faults]}
+        return _record_json(self)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "GroundTruth":
-        return cls(
-            tuple(
-                FaultEntry(
-                    e["objective"],
-                    e["rule"],
-                    tuple(int(i) for i in e["fault_row_indices"]),
-                    tuple(e["true_root_causes"]),
-                )
-                for e in payload["faults"]
-            )
-        )
+        try:
+            return cls(tuple(
+                FaultEntry(**_record_fields(FaultEntry, e)) for e in payload["faults"]
+            ))
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed ground truth: {exc}") from exc
 
 
 def total_linear_effect(scm: Scm, source: str, target: str) -> float:
@@ -524,16 +474,9 @@ def curate_ground_truth(scm: Scm, ds: Dataset) -> GroundTruth:
     beyond their 99th percentile; boolean objectives fail when false."""
     entries: list[FaultEntry] = []
     for objective in ds.objectives:
-        meta = ds.meta(objective)
-        col = ds.column(objective)
-        if meta.kind == Kind.BOOLEAN:
-            mask = col == 0
-            rule = "boolean_false"
-        else:
-            cutoff = float(np.quantile(col.astype(np.float64), 0.99))
-            mask = col.astype(np.float64) > cutoff
-            rule = "quantile_0.99"
-        rows = tuple(int(i) for i in np.flatnonzero(mask))
+        boolean = ds.meta(objective).kind == Kind.BOOLEAN
+        rule = "boolean_false" if boolean else "quantile_0.99"
+        rows = tuple(int(i) for i in np.flatnonzero(fault_labels_for(ds, objective)))
         if not rows:
             raise NoFaultyRows(
                 f"no faulty rows for objective {objective!r}", objective=objective
@@ -560,12 +503,14 @@ class EvalReport:
     rmse: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1, "rmse": self.rmse,
-        }
+        return _record_json(self)
+
+
+def _precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
 
 
 def evaluate(
@@ -595,13 +540,7 @@ def evaluate(
     tn = len(set(universe) - pred_set - true_set)
     total = tp + fp + tn + fn
     accuracy = (tp + tn) / total if total else 0.0
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0.0
-        else 0.0
-    )
+    precision, recall, f1 = _precision_recall_f1(tp, fp, fn)
     av = dict(ace_values or {})
     true_ranked = sorted(true_set, key=lambda o: (-av.get(o, 0.0), o))
     pairs = list(zip(true_ranked, predicted))
@@ -718,24 +657,14 @@ def make_fault_benchmark(
             noise_scale=1.0,
         )
         variables.append(VariableMeta("y_success", Role.OBJECTIVE, Kind.BOOLEAN))
-        # calibrate the success cut on a pilot of the raw score
-        pilot_vars = [
-            v if v.name != "y_success" else replace(v, kind=Kind.CONTINUOUS)
-            for v in variables
-        ]
-        score_mech = Mechanism(
+        mechanisms["y_success"] = Mechanism(
             kind="linear",
             parents=tuple(p for p, _ in obj_parents["y_success"]),
             weights=tuple(w for _, w in obj_parents["y_success"]),
             noise_scale=1.0,
         )
-        pilot_mechs = dict(mechanisms)
-        pilot_mechs["y_success"] = score_mech
-        pilot = scm_from_mechanisms(pilot_vars, pilot_mechs, seed=child + 1)
-        cut = float(np.quantile(sample(pilot, 3000).column("y_success"), 0.10))
-        mechanisms["y_success"] = replace(
-            score_mech, kind="boolean_threshold", thresholds=(cut,)
-        )
+        pilot = scm_from_mechanisms(variables, mechanisms, seed=child + 1)
+        mechanisms.update(_boolean_cuts(pilot, ["y_success"], 0.10))
 
         scm = scm_from_mechanisms(tuple(variables), mechanisms, seed=child)
         data = sample(scm, n_rows)
@@ -758,12 +687,7 @@ class FaultOutcome:
     cbi: EvalReport
 
     def to_json_dict(self) -> dict:
-        return {
-            "scm_index": self.scm_index,
-            "objective": self.objective,
-            "care": self.care.to_json_dict(),
-            "cbi": self.cbi.to_json_dict(),
-        }
+        return _record_json(self)
 
 
 @dataclass(frozen=True)
@@ -776,13 +700,7 @@ class BenchmarkReport:
         fp = sum(r.fp for r in reports)
         fn = sum(r.fn for r in reports)
         tn = sum(r.tn for r in reports)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
+        precision, recall, f1 = _precision_recall_f1(tp, fp, fn)
         return {
             "tp": tp, "fp": fp, "fn": fn, "tn": tn,
             "precision": float(precision), "recall": float(recall),
@@ -824,8 +742,7 @@ def run_benchmark(
                     ace_vals[o] = ace_edge(ds, admg, o, entry.objective).value
                 except EngineError:
                     ace_vals[o] = 0.0
-            labels = np.zeros(ds.sample_count, dtype=bool)
-            labels[list(entry.fault_row_indices)] = True
+            labels = fault_labels_for(ds, entry.objective)
             cbi_diag = Diagnosis(
                 entry.objective, (), tuple(cbi_root_causes(ds, labels, top_k=top_k))
             )

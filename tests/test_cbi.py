@@ -1,17 +1,24 @@
 """Statistical-debugging baseline: predicate mining and importance scores."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confcause
 from confcause.cbi import (
     MIN_OBSERVED,
     Predicate,
     Relation,
     _numeric_thresholds,
+    _two_sided_z,
     cbi_rank,
     cbi_root_causes,
     fault_labels_for,
@@ -75,6 +82,25 @@ class TestImportance:
     def test_unobserved_predicate_rejected(self):
         with pytest.raises(InputError):
             importance(pred(0, 0, 0, 0))
+
+    def test_quantile_matches_scipy(self):
+        # the filter's z comes from the standard library, not scipy
+        for ci_level in np.linspace(0.5, 0.999, 500):
+            want = scipy.stats.norm.ppf(0.5 + ci_level / 2.0)
+            assert _two_sided_z(ci_level) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+def test_runtime_imports_no_scipy():
+    code = (
+        "import sys, confcause, confcause.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(confcause.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from confcause import __version__
+from confcause import __version__, effects
 from confcause.cli import main
 from confcause.dataset import Kind, Role, VariableMeta, Dataset
 from confcause.synthbench import Mechanism, sample, scm_from_mechanisms
@@ -85,6 +85,25 @@ class TestLearn:
         assert code == 2
         assert json.loads(err)["error"] == "InputError"
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [("--theta-ratio", "0", "InputError"), ("--bins", "1", "BadBinCount")],
+    )
+    def test_bad_model_params_fail_before_the_search(
+        self, chain_files, tmp_path, capsys, monkeypatch, flag, value, error
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the structure search ran")
+
+        monkeypatch.setattr(effects, "fci", no_search)
+        data, roles = chain_files
+        code, _, err = run(
+            ["learn", "--data", data, "--roles", roles, flag, value,
+             "--out", tmp_path], capsys
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == error
 
     def test_non_finite_cell_is_exit_2(self, chain_files, tmp_path, capsys):
         data, roles = chain_files
@@ -269,6 +288,37 @@ class TestSynthAndEval:
         )
         assert code == 2
         assert "objective" in err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [("pred", None), ("truth", None), ("roles", None),
+         ("pred", "{not json"), ("truth", "{not json"), ("truth", '{"outcomes": []}')],
+        ids=["missing-pred", "missing-truth", "missing-roles",
+             "pred-not-json", "truth-not-json", "truth-without-faults"],
+    )
+    def test_eval_input_errors_are_typed(
+        self, chain_files, tmp_path, capsys, name, content
+    ):
+        _, roles = chain_files
+        files = {key: tmp_path / f"{key}.json" for key in ("pred", "truth", "roles")}
+        files["pred"].write_text(json.dumps({"objective": "latency", "root_causes": []}))
+        files["truth"].write_text(json.dumps({"faults": []}))
+        files["roles"].write_text(roles.read_text())
+        if content is None:
+            files[name].unlink()
+        else:
+            files[name].write_text(content)
+        code, _, err = run(
+            ["eval", "--pred", files["pred"], "--truth", files["truth"],
+             "--roles", files["roles"]], capsys
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        if name == "truth" and content == '{"outcomes": []}':
+            assert "'faults'" in payload["message"]
+        else:
+            assert payload["details"]["path"] == str(files[name])
 
 
 class TestBench:

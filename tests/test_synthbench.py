@@ -1,5 +1,7 @@
 """Ground-truth models: sampling, interventions, curation, benchmarks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,13 @@ class TestConstruction:
         assert again.mechanisms == scm.mechanisms
         assert again.seed == scm.seed
 
+    def test_json_rejects_unknown_keys(self):
+        payload = generate_scm(2, 2, 1, 0.5, seed=3).to_json_dict()
+        with pytest.raises(InputError, match="intercept"):
+            Mechanism.from_json_dict({**payload["mechanisms"]["m01"], "intercept": 2.0})
+        with pytest.raises(InputError, match="hidden_scale"):
+            Scm.from_json_dict({**payload, "hidden_scale": 2.0})
+
     def test_scale_edge(self):
         scm = chain_scm(weight_om=2.0)
         scaled = scale_edge(scm, ("o", "m"), 3.0)
@@ -138,19 +147,6 @@ class TestSampling:
     def test_unknown_target(self):
         with pytest.raises(UnknownVertex):
             intervene(chain_scm(), {"ghost": 1.0}, 10)
-
-    def test_cpt_identity_table(self):
-        variables = (V("a", Role.OPTION, Kind.DISCRETE), V("b", Role.METRIC, Kind.DISCRETE))
-        mechanisms = {
-            "a": Mechanism(kind="uniform_levels", levels=2),
-            "b": Mechanism(
-                kind="cpt", parents=("a",), levels=2,
-                cpt=(((0,), (1.0, 0.0)), ((1,), (0.0, 1.0))),
-            ),
-        }
-        scm = scm_from_mechanisms(variables, mechanisms, seed=12)
-        ds = sample(scm, 400)
-        assert np.array_equal(ds.column("a"), ds.column("b"))
 
 
 class TestOracleEffects:
@@ -269,7 +265,7 @@ class TestCuration:
         )
         mechanisms = {
             "o": Mechanism(kind="uniform_levels", levels=2),
-            "ok": Mechanism(kind="cpt", levels=2, cpt=(((), (0.0, 1.0)),)),
+            "ok": Mechanism(kind="boolean_threshold", thresholds=(-math.inf,)),
         }
         scm = scm_from_mechanisms(variables, mechanisms, seed=4)
         with pytest.raises(NoFaultyRows):
