@@ -27,6 +27,7 @@ from .cbi import cbi_rank, fault_labels_for
 from .dataset import Role, _as_text, _parse_roles, load_dataset
 from .effects import Diagnosis, ModelParams, cpwe, diagnose, learn_model
 from .errors import EmptyResultError, EngineError, InputError
+from .resolve import Admg
 from .synthbench import (
     GroundTruth,
     curate_ground_truth,
@@ -85,8 +86,38 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON mapping variable -> {role, kind}")
 
 
+def _add_model_file_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model",
+                        help="model.json saved by learn: skips the structure "
+                             "search, so --alpha, --max-cond-size and "
+                             "--theta-ratio do not apply")
+
+
 def _load(args: argparse.Namespace):
     return load_dataset(Path(args.data), Path(args.roles))
+
+
+def _model(args: argparse.Namespace, ds) -> Admg:
+    """The model saved at ``--model``, checked against the table, or else
+    one learned from the table."""
+    if args.model is None:
+        return learn_model(ds, _params(args))[1]
+    payload = _read_json_object(args.model)
+    try:
+        admg = Admg.from_json_dict(payload)
+    except (KeyError, TypeError, ValueError, EngineError) as exc:
+        raise InputError(f"{args.model!r} is not a valid model: {exc!r}",
+                         path=args.model) from exc
+    model, table = set(admg.vertices), set(ds.variables)
+    if model != table:
+        raise InputError(
+            f"{args.model!r} does not model this table: its vertices differ "
+            f"from the columns in name, role or kind",
+            path=args.model,
+            model_only=sorted(v.name for v in model - table),
+            table_only=sorted(v.name for v in table - model),
+        )
+    return admg
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
@@ -105,6 +136,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     ds = _load(args)
     if args.method == "cbi":
+        if args.model is not None:
+            raise InputError("--model applies to the causal method only",
+                             path=args.model)
         labels = fault_labels_for(ds, args.objective)
         ranking = cbi_rank(ds, labels, ci_level=args.ci_level)
         causes = tuple(
@@ -123,7 +157,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             for i, (name, score) in enumerate(ranking[: args.top_k])
         ]
     else:
-        _, admg = learn_model(ds, _params(args))
+        admg = _model(args, ds)
         result = diagnose(ds, admg, args.objective, top_k=args.top_k,
                           bins=args.bins)
         payload = result.to_json_dict()
@@ -142,7 +176,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     ds = _load(args)
-    _, admg = learn_model(ds, _params(args))
+    admg = _model(args, ds)
     results = cpwe(ds, admg, top_k=args.top_k, bins=args.bins)
     if all(not d.ranked_paths for d in results.values()):
         raise EmptyResultError("no causal paths found for any objective")
@@ -191,14 +225,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     options = sorted(name for name, (role, _) in roles.items() if role == Role.OPTION)
     if "objective" not in pred_payload:
         raise InputError("prediction file lacks an 'objective' field", path=args.pred)
-    causes = tuple(pred_payload.get("root_causes", ()))
-    pred = Diagnosis(pred_payload["objective"], (), causes)
+    causes = pred_payload.get("root_causes", [])
+    if not (isinstance(causes, list) and all(isinstance(c, str) for c in causes)):
+        raise InputError(f"{args.pred!r}: 'root_causes' must be a list of names",
+                         path=args.pred)
+    pred = Diagnosis(pred_payload["objective"], (), tuple(causes))
     # path scores double as per-option effect sizes for the rank-weighted RMSE
     ace_values: dict[str, float] = {}
-    for path in pred_payload.get("paths", ()):
-        origin = path["vertices"][0]
-        score = float(path["path_ace"])
-        ace_values[origin] = max(score, ace_values.get(origin, 0.0))
+    paths = pred_payload.get("paths", [])
+    if not isinstance(paths, list):
+        raise InputError(f"{args.pred!r}: 'paths' must be a list", path=args.pred)
+    for i, path in enumerate(paths):
+        try:
+            origin = path["vertices"][0]
+            score = float(path["path_ace"])
+            ace_values[origin] = max(score, ace_values.get(origin, 0.0))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"{args.pred!r}: paths[{i}] needs a non-empty 'vertices' list "
+                f"and a numeric 'path_ace'", path=args.pred, index=i,
+            ) from exc
     report = evaluate(pred, truth, options, ace_values)
     payload = report.to_json_dict()
     if args.out:
@@ -245,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="rank root causes of one objective")
     _add_data_flags(p_diag)
     _add_model_flags(p_diag)
+    _add_model_file_flag(p_diag)
     p_diag.add_argument("--objective", required=True)
     p_diag.add_argument("--method", choices=("care", "cbi"), default="care")
     p_diag.add_argument("--top-k", type=int, default=4)
@@ -256,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="rank causal paths for all objectives")
     _add_data_flags(p_rank)
     _add_model_flags(p_rank)
+    _add_model_file_flag(p_rank)
     p_rank.add_argument("--top-k", type=int, default=4)
     p_rank.add_argument("--out", help="write the ranking JSON here")
     p_rank.set_defaults(func=cmd_rank)

@@ -15,13 +15,17 @@ circle marks are exactly the orientations the data could not decide.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import itertools
 import logging
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -812,7 +816,65 @@ def _reset_marks(g: _Graph) -> None:
 # --------------------------------------------------------------------------
 # public entry point
 
+# thread-count (getter, setter) symbols of numpy's bundled OpenBLAS: the
+# scipy-openblas build of numpy 2.x wheels, then the ILP64 build of 1.x
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
 
+
+@functools.lru_cache(maxsize=1)
+def _blas_threads() -> tuple | None:
+    """The thread-count getter and setter of the OpenBLAS library file that
+    numpy ships, or None when it ships none or it exports no known pair."""
+    package = Path(np.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                       *package.glob(".dylibs/*openblas*")]):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for get, put in _BLAS_THREAD_SYMBOLS:
+            if hasattr(handle, get) and hasattr(handle, put):
+                return getattr(handle, get), getattr(handle, put)
+    return None
+
+
+# blocks inside the cap, and the count to restore when the last one leaves:
+# the count is process-wide, so searches in several threads share one cap
+_cap_lock = threading.Lock()
+_cap = {"holders": 0, "before": 1}
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Cap OpenBLAS at one thread for the block, then restore the count.
+
+    The search's BLAS calls (one covariance, stacks of small inverses) are
+    far too small for a split over threads to pay, and their bytes do not
+    depend on the split. The cap is process-wide while any block holds it.
+    """
+    api = _blas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _cap_lock:
+        if not _cap["holders"]:
+            _cap["before"] = get()
+            put(1)
+        _cap["holders"] += 1
+    try:
+        yield
+    finally:
+        with _cap_lock:
+            _cap["holders"] -= 1
+            if not _cap["holders"]:
+                put(_cap["before"])
+
+
+@_one_blas_thread()
 def fci(
     ds: Dataset,
     sc: StructuralConstraints,
@@ -827,7 +889,8 @@ def fci(
     ``warm_adjacencies`` seeds the skeleton from a previous run instead of the
     complete graph; previously separated pairs are retested (at their recorded
     conditioning size when ``warm_sepsets`` provides it, else at every size up
-    to ``max_cond_size``) and re-added if no separator survives.
+    to ``max_cond_size``) and re-added if no separator survives. The search
+    runs on one BLAS thread, and the previous count is restored on return.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}", alpha=alpha)

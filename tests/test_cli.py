@@ -37,6 +37,10 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("the structure search ran")
+
+
 class TestLearn:
     def test_writes_model_artifacts(self, chain_files, tmp_path, capsys):
         data, roles = chain_files
@@ -93,10 +97,7 @@ class TestLearn:
     def test_bad_model_params_fail_before_the_search(
         self, chain_files, tmp_path, capsys, monkeypatch, flag, value, error
     ):
-        def no_search(*args, **kwargs):
-            raise AssertionError("the structure search ran")
-
-        monkeypatch.setattr(effects, "fci", no_search)
+        monkeypatch.setattr(effects, "fci", _no_search)
         data, roles = chain_files
         code, _, err = run(
             ["learn", "--data", data, "--roles", roles, flag, value,
@@ -179,6 +180,69 @@ class TestDiagnose:
                  "--objective", "latency", "--out", out_file], capsys)
             blobs.append(out_file.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_saved_model_gives_the_same_bytes_without_a_search(
+        self, chain_files, tmp_path, capsys, monkeypatch
+    ):
+        data, roles = chain_files
+        assert run(["learn", "--data", data, "--roles", roles,
+                    "--out", tmp_path / "learn"], capsys)[0] == 0
+        base = ["--data", data, "--roles", roles]
+        for command, extra in (("diagnose", ["--objective", "latency"]), ("rank", [])):
+            assert run([command, *base, *extra,
+                        "--out", tmp_path / f"{command}.json"], capsys)[0] == 0
+        monkeypatch.setattr(effects, "fci", _no_search)
+        for command, extra in (("diagnose", ["--objective", "latency"]), ("rank", [])):
+            code, _, err = run(
+                [command, *base, *extra, "--model", tmp_path / "learn" / "model.json",
+                 "--out", tmp_path / f"{command}-saved.json"], capsys
+            )
+            assert code == 0, err
+            assert (tmp_path / f"{command}-saved.json").read_bytes() == (
+                tmp_path / f"{command}.json"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("command", ["diagnose", "rank"])
+    def test_model_of_another_table_is_exit_2(
+        self, chain_files, tmp_path, capsys, monkeypatch, command
+    ):
+        data, roles = chain_files
+        run(["learn", "--data", data, "--roles", roles, "--out", tmp_path], capsys)
+        model = tmp_path / "model.json"
+        model.write_text(model.read_text().replace('"hits"', '"hitz"'))
+        monkeypatch.setattr(effects, "fci", _no_search)
+        extra = ["--objective", "latency"] if command == "diagnose" else []
+        code, _, err = run(
+            [command, "--data", data, "--roles", roles, *extra, "--model", model],
+            capsys,
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert payload["details"] == {
+            "path": str(model), "model_only": ["hitz"], "table_only": ["hits"],
+        }
+
+    @pytest.mark.parametrize(
+        "content, method",
+        [('{"directed": []}', "care"), ('{"vertices": [7]}', "care"),
+         ("[]", "care"), (None, "cbi")],
+        ids=["no-vertices", "bad-vertex", "not-an-object", "cbi-method"],
+    )
+    def test_unusable_model_file_is_exit_2(
+        self, chain_files, tmp_path, capsys, content, method
+    ):
+        data, roles = chain_files
+        model = tmp_path / "model.json"
+        model.write_text(content or "{}")
+        code, _, err = run(
+            ["diagnose", "--data", data, "--roles", roles, "--objective",
+             "latency", "--method", method, "--model", model], capsys
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert payload["details"]["path"] == str(model)
 
 
 class TestRank:
@@ -288,6 +352,40 @@ class TestSynthAndEval:
         )
         assert code == 2
         assert "objective" in err
+
+    @pytest.mark.parametrize(
+        "field, value, index",
+        [("paths", [{}], 0),
+         ("paths", [{"vertices": ["cache"], "path_ace": 0.5}, {"path_ace": 1.0}], 1),
+         ("paths", [{"vertices": ["cache"]}], 0),
+         ("paths", [{"vertices": [], "path_ace": 1.0}], 0),
+         ("paths", [{"vertices": ["cache"], "path_ace": "high"}], 0),
+         ("paths", [7], 0),
+         ("paths", {}, None),
+         ("root_causes", ["cache", ["hits"]], None),
+         ("root_causes", 5, None)],
+        ids=["empty-path", "no-vertices", "no-path-ace", "empty-vertices",
+             "text-path-ace", "path-not-an-object", "paths-not-a-list",
+             "cause-not-a-name", "causes-not-a-list"],
+    )
+    def test_eval_malformed_prediction_names_file_and_index(
+        self, chain_files, tmp_path, capsys, field, value, index
+    ):
+        _, roles = chain_files
+        payload = {"objective": "latency", "root_causes": ["cache"], "paths": []}
+        payload[field] = value
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(payload))
+        truth = tmp_path / "t.json"
+        truth.write_text(json.dumps({"faults": []}))
+        code, _, err = run(
+            ["eval", "--pred", pred, "--truth", truth, "--roles", roles], capsys
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert payload["details"]["path"] == str(pred)
+        assert payload["details"].get("index") == index
 
     @pytest.mark.parametrize(
         "name, content",

@@ -2,11 +2,13 @@
 
 Joint coding of integer rows, the CSV reader, the contingency table of the
 minimum-entropy coupling and the backdoor strata of ACE all work a column at
-a time. Each is compared here with a row or cell loop, and the statistics
-are checked not to depend on the order of rows or columns.
+a time. Each is compared here with a row or cell loop, and the statistics,
+the learned model and the diagnoses are checked not to depend on the order
+of rows or columns.
 """
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -29,7 +31,7 @@ from confcause.dataset import (
     discretize,
     load_dataset,
 )
-from confcause.effects import _coded_column, ace_edge
+from confcause.effects import _coded_column, ace_edge, cpwe, learn_model
 from confcause.errors import EmptyDataset
 from confcause.resolve import Admg
 from confcause.stats import _joint_codes, entropy, greedy_coupling, min_entropy_latent
@@ -209,6 +211,56 @@ def test_statistics_ignore_row_and_column_order(system, seed):
         assert ace_edge(shuffled, scm.graph, u, v).value == pytest.approx(
             want, rel=1e-12, abs=1e-12
         )
+
+
+# ten or fewer observed variables each, two with hidden confounders
+_ORDER_SYSTEMS = (
+    ((3, 5, 1, 0.5), {"seed": 0}),
+    ((2, 6, 2, 0.4), {"seed": 1}),
+    ((3, 4, 2, 0.6), {"seed": 2, "n_latents": 1}),
+    ((2, 5, 2, 0.5), {"seed": 3, "n_latents": 2}),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_reference(system: int):
+    args, kwargs = _ORDER_SYSTEMS[system]
+    ds = sample(generate_scm(*args, **kwargs), 1500)
+    pag, admg = learn_model(ds)
+    return ds, pag, admg, cpwe(ds, admg)
+
+
+def _without_vertices(model) -> dict:
+    """A model's JSON without its vertex list, which follows the table's
+    column order; everything else in it is sorted by name."""
+    payload = model.to_json_dict()
+    del payload["vertices"]
+    return payload
+
+
+@given(st.integers(0, len(_ORDER_SYSTEMS) - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_model_and_diagnoses_ignore_row_and_column_order(system, seed):
+    ds, pag, admg, diagnoses = _order_reference(system)
+    shuffled = _reorder(ds, seed)
+    pag2, admg2 = learn_model(shuffled)
+    assert set(pag2.vertices) == set(pag.vertices)
+    assert _without_vertices(pag2) == _without_vertices(pag)
+    assert set(admg2.vertices) == set(admg.vertices)
+    assert _without_vertices(admg2) == _without_vertices(admg)
+    diagnoses2 = cpwe(shuffled, admg2)
+    assert diagnoses2.keys() == diagnoses.keys()
+    for objective, want in diagnoses.items():
+        got = diagnoses2[objective]
+        assert got.root_causes == want.root_causes
+        assert [p.vertices for p in got.ranked_paths] == [
+            p.vertices for p in want.ranked_paths
+        ]
+        # the effects are sums over rows, so their last bits may move
+        for p, q in zip(got.ranked_paths, want.ranked_paths):
+            assert (p.path_ace, *p.edge_aces) == pytest.approx(
+                (q.path_ace, *q.edge_aces), rel=1e-12, abs=1e-12
+            )
 
 
 # --------------------------------------------------------------------------

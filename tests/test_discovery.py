@@ -1,18 +1,22 @@
 """Graph-learning behavior on systems whose answer is known by construction."""
 
 import itertools
+import json
 import logging
 import re
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confcause import discovery
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
 from confcause.discovery import Mark, Pag, _FisherZTester, build_constraints, fci
 from confcause.errors import InputError, MissingRole
-from confcause.synthbench import Mechanism, sample, scm_from_mechanisms
+from confcause.synthbench import Mechanism, generate_scm, sample, scm_from_mechanisms
 
 N = 20000
 
@@ -296,3 +300,113 @@ def test_search_log_names_untestable_queries(caplog):
         r"structure search: .* (\d+) untestable queries, (\d+) CI tests", message
     )
     assert match and int(match.group(1)) > 0 and int(match.group(2)) > 0
+
+
+# --------------------------------------------------------------------------
+# the search's one-thread BLAS cap
+
+
+def test_blas_cap_resolves_whenever_numpy_ships_openblas():
+    """A wrong symbol name would turn the cap into a silent no-op."""
+    package = Path(np.__file__).parent
+    shipped = [
+        lib for root in (package, package.parent / "numpy.libs")
+        for lib in root.rglob("*openblas*")
+        if lib.suffix in (".so", ".dylib", ".dll") or ".so." in lib.name
+    ]
+    if not shipped:
+        pytest.skip("numpy ships no OpenBLAS library file")
+    assert discovery._blas_threads() is not None, shipped
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The library's (getter, setter), with the count set to two for the
+    test and put back after it."""
+    api = discovery._blas_threads()
+    if api is None:
+        pytest.skip("no OpenBLAS thread-count symbols to test against")
+    get, put = api
+    before = get()
+    put(2)
+    yield get, put
+    put(before)
+
+
+def test_search_runs_on_one_blas_thread(blas_at_two_threads, monkeypatch):
+    get, _ = blas_at_two_threads
+    seen = []
+    stacked = discovery.partial_corrs_from_covs
+
+    def spy(covs):
+        seen.append(get())
+        return stacked(covs)
+
+    monkeypatch.setattr(discovery, "partial_corrs_from_covs", spy)
+    with discovery._one_blas_thread():
+        assert get() == 1
+    assert get() == 2
+    ds = sample(collider_system(seed=4), 2000)
+    fci(ds, build_constraints(ds.variables))
+    assert seen and set(seen) == {1}
+    assert get() == 2
+
+
+@pytest.mark.parametrize("kwargs", [{"alpha": 1.5}, {"max_cond_size": -1}])
+def test_blas_thread_count_restored_when_the_search_raises(
+    blas_at_two_threads, monkeypatch, kwargs
+):
+    get, put = blas_at_two_threads
+    calls = []
+
+    def recording_put(count):
+        calls.append(count)
+        put(count)
+
+    monkeypatch.setattr(discovery, "_blas_threads", lambda: (get, recording_put))
+    ds = sample(chain_system(), 100)
+    with pytest.raises(InputError):
+        fci(ds, build_constraints(ds.variables), **kwargs)
+    assert calls == [1, 2]
+    assert get() == 2
+
+
+def test_overlapping_caps_restore_the_count_when_the_last_leaves(blas_at_two_threads):
+    """Searches in two threads: the first to leave must not lift the cap
+    from under the other, and the last restores the count from before."""
+    get, _ = blas_at_two_threads
+    entered, first_left = threading.Event(), threading.Event()
+    inside = []
+
+    def hold_until_the_first_leaves():
+        with discovery._one_blas_thread():
+            entered.set()
+            assert first_left.wait(10)
+            inside.append(get())
+
+    second = threading.Thread(target=hold_until_the_first_leaves)
+    with discovery._one_blas_thread():
+        second.start()
+        assert entered.wait(10)
+    first_left.set()
+    second.join(10)
+    assert not second.is_alive()
+    assert inside == [1]
+    assert get() == 2
+
+
+def test_search_without_the_blas_library_gives_the_same_bytes(caplog, monkeypatch):
+    """On a sample shaped like the benchmark's wide workload: the same PAG
+    and the same CI-test count with the cap and with the lookup finding no
+    library, which leaves the threading as it is."""
+    caplog.set_level(logging.INFO, logger="confcause.discovery")
+    ds = sample(generate_scm(8, 24, 2, 0.15, seed=0), 5000)
+    sc = build_constraints(ds.variables)
+    runs = []
+    for api in (discovery._blas_threads, lambda: None):
+        monkeypatch.setattr(discovery, "_blas_threads", api)
+        caplog.clear()
+        pag = fci(ds, sc)
+        [line] = [m for m in caplog.messages if m.startswith("structure search")]
+        runs.append((json.dumps(pag.to_json_dict(), sort_keys=True), line))
+    assert runs[0] == runs[1]
