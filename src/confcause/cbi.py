@@ -141,8 +141,6 @@ def importance(pred: Predicate, ci_level: float = 0.95) -> float:
     if pred.failing_true_count <= 1 or pred.failing_observed_count <= 1:
         return 0.0  # log-coverage undefined or zero
     coverage = math.log(pred.failing_true_count) / math.log(pred.failing_observed_count)
-    if coverage <= 0.0:
-        return 0.0
     return 2.0 / (1.0 / increase + 1.0 / coverage)
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -190,27 +190,20 @@ class Dataset:
 # loading
 
 
-def _as_text(source: str | Path | bytes | IO[Any]) -> str:
+def _as_text(source: str | Path) -> str:
     """The text of a table or roles source. A ``str`` that contains a
     newline, or whose first non-blank character is ``{``, is the text
     itself; any other ``str``, like a ``Path``, names a file, which must
     exist."""
     if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
         return source
-    if isinstance(source, (str, Path)):
-        path = str(source)
-        try:
-            return Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputError(
-                f"cannot read {path!r}: {exc.strerror or exc}", path=path
-            ) from exc
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+    path = str(source)
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(
+            f"cannot read {path!r}: {exc.strerror or exc}", path=path
+        ) from exc
 
 
 def _parse_roles(text: str) -> dict[str, tuple[Role, Kind]]:
@@ -384,10 +377,7 @@ def _numeric_columns(
     return columns
 
 
-def load_dataset(
-    table_source: str | Path | bytes | IO[Any],
-    roles_source: str | Path | bytes | IO[Any],
-) -> Dataset:
+def load_dataset(table_source: str | Path, roles_source: str | Path) -> Dataset:
     """Parse a UTF-8 comma-separated table plus a JSON role map.
 
     The header row names the variables; every header name must have a roles

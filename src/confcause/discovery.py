@@ -474,8 +474,6 @@ def _pdsep_prune(
     index, names = tester.index, tester.names
     removed_any = False
     for u, v in g.sorted_edges():
-        if not g.has_edge(u, v):
-            continue
         separator = None
         for root in (u, v):
             pool = np.array(
@@ -931,21 +929,6 @@ def fci(
     _reset_marks(g)
     _orient(g, sc, sepsets)
 
-    # hard constraint recheck: the output may not contain a forbidden
-    # adjacency or a decided direction the constraints exclude
-    for u, v in g.sorted_edges():
-        mu, mv = g.mark_at(v, u), g.mark_at(u, v)
-        bad = not sc.allows_adjacency(u, v)
-        if mu == Mark.TAIL and mv == Mark.ARROW and not sc.allows_direction(u, v):
-            bad = True
-        if mu == Mark.ARROW and mv == Mark.TAIL and not sc.allows_direction(v, u):
-            bad = True
-        if mu == Mark.ARROW and mv == Mark.ARROW and not sc.allows_bidirected(u, v):
-            bad = True
-        if bad:
-            g.conflicts.append(f"constraint: dropped forbidden edge {u}-{v}")
-            g.remove_edge(u, v)
-
     edges = tuple(
         PagEdge(u, v, g.mark_at(v, u), g.mark_at(u, v)) for u, v in g.sorted_edges()
     )
@@ -992,10 +975,7 @@ def _retest_separated_pairs(
             [hit] = tester.first_separators(rows, [rows.shape[0]])
             if hit is not None:
                 found = rows[hit, 2:]
-                # an empty separator does not end the search: the first
-                # non-empty one at a larger size replaces it
-                if found.shape[0]:
-                    break
+                break
         if found is not None:
             sepsets[frozenset((u, v))] = frozenset(names[i] for i in found)
         else:

@@ -23,7 +23,6 @@ from .errors import (
     BadBinCount,
     InputError,
     NoPathsFound,
-    SchemaMismatch,
     UnidentifiableEffect,
 )
 from .resolve import Admg, resolve_edges
@@ -117,8 +116,7 @@ def extract_paths(admg: Admg, objective: str) -> list[tuple[str, ...]]:
     Paths are walked backwards over directed parents and bidirected
     neighbours; interior vertices must be metrics (an option is always an
     origin, an objective only a terminus). Complete paths whose origin is not
-    a parentless option are discarded with a log entry; a kept path that is a
-    proper suffix of another kept path is dropped as non-maximal.
+    a parentless option are discarded with a log entry.
     """
     meta = admg.meta(objective)
     if meta.role != Role.OBJECTIVE:
@@ -158,10 +156,7 @@ def extract_paths(admg: Admg, objective: str) -> list[tuple[str, ...]]:
             "discarded %d backward walks not originating at a parentless option",
             discarded,
         )
-    tails = {p: set(p[i:] for i in range(1, len(p))) for p in kept}
-    suffixes = set().union(*tails.values()) if tails else set()
-    maximal = sorted(p for p in kept if p not in suffixes)
-    return maximal
+    return sorted(kept)
 
 
 # --------------------------------------------------------------------------
@@ -399,11 +394,6 @@ def update_model(
     """
     if new_samples.sample_count == 0:
         return admg
-    if old.schema() != new_samples.schema():
-        raise SchemaMismatch(
-            "new samples do not match the training schema",
-            expected=old.schema(), actual=new_samples.schema(),
-        )
     combined = old.concat(new_samples)
     sc = build_constraints(combined.variables)
     warm = [frozenset((u, v)) for u, v in admg.directed] + list(admg.bidirected)

@@ -205,7 +205,7 @@ def resolve_edges(
 
     def h(name: str) -> float:
         if name not in marginal:
-            marginal[name] = entropy(ds, [name]).value_bits
+            marginal[name] = entropy(ds, [name])
         return marginal[name]
 
     undecided: list[tuple[str, str]] = []
@@ -233,7 +233,7 @@ def resolve_edges(
         if latent_bits < threshold:
             asm.add_bidirected(u, v, "entropy")
             continue
-        h_uv = entropy(ds, [u, v]).value_bits
+        h_uv = entropy(ds, [u, v])
         forward = h_uv - h_u   # H(v | u): residual complexity if u causes v
         backward = h_uv - h_v  # H(u | v): residual complexity if v causes u
         if forward < backward:

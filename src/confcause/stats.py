@@ -41,13 +41,6 @@ class CiTestResult:
     independent: bool
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
-    variables: tuple[str, ...]
-    value_bits: float
-    support_size: int
-
-
 # --------------------------------------------------------------------------
 # correlation
 
@@ -269,19 +262,18 @@ def _joint_codes(mat: np.ndarray) -> np.ndarray:
     return codes
 
 
-def entropy(ds: Dataset, variables: Sequence[str]) -> EntropyEstimate:
+def entropy(ds: Dataset, variables: Sequence[str]) -> float:
     """Shannon entropy (bits) of the empirical joint over the named columns."""
     if not variables:
         raise NonDiscreteVariable("entropy requires at least one variable")
     counts = np.bincount(_joint_codes(_require_discrete(ds, variables)))
     p = counts / counts.sum()
-    bits = float(-(p * np.log2(p)).sum())
-    return EntropyEstimate(tuple(variables), max(bits, 0.0), int(counts.shape[0]))
+    return max(float(-(p * np.log2(p)).sum()), 0.0)
 
 
 def conditional_entropy(ds: Dataset, target: str, given: str) -> float:
     """H(target | given) in bits, via the chain rule on empirical joints."""
-    return entropy(ds, [given, target]).value_bits - entropy(ds, [given]).value_bits
+    return entropy(ds, [given, target]) - entropy(ds, [given])
 
 
 # --------------------------------------------------------------------------

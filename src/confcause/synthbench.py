@@ -27,6 +27,7 @@ from .effects import (
     ace_edge,
     diagnose,
     learn_model,
+    update_model,
 )
 from .errors import (
     EngineError,
@@ -41,6 +42,7 @@ from .resolve import Admg
 logger = logging.getLogger(__name__)
 
 EFFECT_EPS = 1e-6  # smallest total linear effect that counts as causal
+_FAIL_RATE = 0.1  # share of failing runs that a boolean objective is cut at
 
 
 # --------------------------------------------------------------------------
@@ -210,29 +212,20 @@ def _materialize(
     """Draw one variable. The noise stream is always consumed so that an
     intervention leaves the draws of every other variable untouched."""
     if mech.kind == "uniform_levels":
-        draw = rng.integers(0, mech.levels, size=n)
-        if forced is not None:
-            return np.full(n, int(forced), dtype=np.int64)
-        return draw.astype(np.int64)
-    noise = rng.standard_normal(n)
-    if mech.kind == "linear":
-        if forced is not None:
-            return np.full(n, float(forced), dtype=np.float64)
-        return _linear_score(mech, values, noise)
-    if mech.kind == "threshold_levels":
-        if forced is not None:
-            return np.full(n, int(forced), dtype=np.int64)
-        score = _linear_score(mech, values, noise)
-        codes = np.zeros(n, dtype=np.int64)
-        for thr in mech.thresholds:
-            codes += (score > thr).astype(np.int64)
-        return codes
-    if mech.kind == "boolean_threshold":
-        if forced is not None:
-            return np.full(n, int(forced), dtype=np.int64)
-        score = _linear_score(mech, values, noise)
-        return (score > mech.thresholds[0]).astype(np.int64)
-    raise EngineError(f"unknown mechanism kind {mech.kind!r}", variable=name)
+        drawn = rng.integers(0, mech.levels, size=n).astype(np.int64)
+    else:
+        score = _linear_score(mech, values, rng.standard_normal(n))
+        if mech.kind == "linear":
+            drawn = score
+        elif mech.kind == "threshold_levels":
+            drawn = np.zeros(n, dtype=np.int64)
+            for thr in mech.thresholds:
+                drawn += (score > thr).astype(np.int64)
+        elif mech.kind == "boolean_threshold":
+            drawn = (score > mech.thresholds[0]).astype(np.int64)
+        else:
+            raise EngineError(f"unknown mechanism kind {mech.kind!r}", variable=name)
+    return drawn if forced is None else np.full(n, forced, dtype=drawn.dtype)
 
 
 def intervene(scm: Scm, assignments: Mapping[str, float], n: int) -> Dataset:
@@ -308,16 +301,13 @@ def generate_scm(
     *,
     n_latents: int = 0,
     boolean_objectives: int = 0,
-    option_levels: int = 3,
-    fail_rate: float = 0.1,
     weight_range: tuple[float, float] = (0.6, 1.4),
 ) -> Scm:
     """Random layered model: edges option->metric, metric->metric (lower to
     higher index), metric->objective, each present with probability
-    ``density``; weights uniform in +-``weight_range``. Optional latent
-    confounders add hidden parents to sampled non-option pairs. Boolean
-    objectives are thresholded at the empirical ``fail_rate`` quantile of
-    their score."""
+    ``density``; weights uniform in +-``weight_range``; options take three
+    levels. Optional latent confounders add hidden parents to sampled
+    non-option pairs. Boolean objectives are cut by :func:`_boolean_cuts`."""
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must be in [0, 1], got {density}", density=density)
     rng = np.random.default_rng(seed)
@@ -383,26 +373,24 @@ def generate_scm(
         )
 
     mechanisms: dict[str, Mechanism] = {
-        o: Mechanism(kind="uniform_levels", levels=option_levels) for o in opts
+        o: Mechanism(kind="uniform_levels", levels=3) for o in opts
     }
     for name in mets + objs:
         mechanisms[name] = linear_mech(name)
     if boolean_objectives:
         pilot = scm_from_mechanisms(variables, mechanisms, hidden, seed=int(seed) + 1)
-        mechanisms.update(_boolean_cuts(pilot, objs[:boolean_objectives], fail_rate))
+        mechanisms.update(_boolean_cuts(pilot, objs[:boolean_objectives]))
     return scm_from_mechanisms(tuple(variables), mechanisms, hidden, seed=int(seed))
 
 
-def _boolean_cuts(
-    pilot: Scm, objectives: Sequence[str], fail_rate: float
-) -> dict[str, Mechanism]:
+def _boolean_cuts(pilot: Scm, objectives: Sequence[str]) -> dict[str, Mechanism]:
     """Each of the linear ``objectives`` of ``pilot`` made boolean, cut at the
-    ``fail_rate`` quantile of its score in a 3,000-row sample of ``pilot``."""
+    ``_FAIL_RATE`` quantile of its score in a 3,000-row sample of ``pilot``."""
     data = sample(pilot, 3000)
     return {
         y: replace(
             pilot.mechanisms[y], kind="boolean_threshold",
-            thresholds=(float(np.quantile(data.column(y), fail_rate)),),
+            thresholds=(float(np.quantile(data.column(y), _FAIL_RATE)),),
         )
         for y in objectives
     }
@@ -418,9 +406,6 @@ class FaultEntry:
     rule: str
     fault_row_indices: tuple[int, ...]
     true_root_causes: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return _record_json(self)
 
 
 @dataclass(frozen=True)
@@ -649,22 +634,15 @@ def make_fault_benchmark(
         for o in decoys[2:]:
             add_metric(f"m_dead_{o}", o, signed(1.0, 1.6), [])
 
-        variables.append(VariableMeta("y_energy", Role.OBJECTIVE, Kind.CONTINUOUS))
-        mechanisms["y_energy"] = Mechanism(
-            kind="linear",
-            parents=tuple(p for p, _ in obj_parents["y_energy"]),
-            weights=tuple(w for _, w in obj_parents["y_energy"]),
-            noise_scale=1.0,
-        )
-        variables.append(VariableMeta("y_success", Role.OBJECTIVE, Kind.BOOLEAN))
-        mechanisms["y_success"] = Mechanism(
-            kind="linear",
-            parents=tuple(p for p, _ in obj_parents["y_success"]),
-            weights=tuple(w for _, w in obj_parents["y_success"]),
-            noise_scale=1.0,
-        )
+        for objective, kind in (("y_energy", Kind.CONTINUOUS), ("y_success", Kind.BOOLEAN)):
+            variables.append(VariableMeta(objective, Role.OBJECTIVE, kind))
+            mechanisms[objective] = Mechanism(
+                kind="linear",
+                parents=tuple(p for p, _ in obj_parents[objective]),
+                weights=tuple(w for _, w in obj_parents[objective]),
+            )
         pilot = scm_from_mechanisms(variables, mechanisms, seed=child + 1)
-        mechanisms.update(_boolean_cuts(pilot, ["y_success"], 0.10))
+        mechanisms.update(_boolean_cuts(pilot, ["y_success"]))
 
         scm = scm_from_mechanisms(tuple(variables), mechanisms, seed=child)
         data = sample(scm, n_rows)
@@ -786,21 +764,14 @@ def transfer_scm(seed: int) -> tuple[Scm, Scm]:
     return base, shifted
 
 
-def transfer_series(
-    seed: int = 0,
-    params: ModelParams = ModelParams(),
-    n_initial: int = 1200,
-    n_batch: int = 1200,
-    n_batches: int = 3,
-) -> list[float]:
+def transfer_series(seed: int = 0, params: ModelParams = ModelParams()) -> list[float]:
     """RMSE of per-option effect estimates against the shifted environment's
-    oracle, before updating and after each incremental batch of shifted data."""
-    from .effects import update_model  # local import keeps module edges one-way
-
-    seeds = _child_seeds(seed, n_batches + 2)
-    base, shifted = transfer_scm(seeds[0])
-    oracle_scm = with_seed(shifted, seeds[1])
-    old = sample(with_seed(base, seeds[0]), n_initial)
+    oracle, on 1,200 runs of the base system and after each of three
+    1,200-run batches of shifted data."""
+    base_seed, oracle_seed, *batch_seeds = _child_seeds(seed, 5)
+    base, shifted = transfer_scm(base_seed)
+    oracle_scm = with_seed(shifted, oracle_seed)
+    old = sample(with_seed(base, base_seed), 1200)
     pag, admg = learn_model(old, params)
     objective = "y"
     oracle = {
@@ -816,8 +787,8 @@ def transfer_series(
 
     series = [current_rmse(old, admg)]
     sepsets = pag.sepsets
-    for k in range(n_batches):
-        batch = sample(with_seed(shifted, seeds[k + 2]), n_batch)
+    for batch_seed in batch_seeds:
+        batch = sample(with_seed(shifted, batch_seed), 1200)
         admg = update_model(admg, old, batch, params, prev_sepsets=sepsets)
         sepsets = None  # stale after the first refresh
         old = old.concat(batch)

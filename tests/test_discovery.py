@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 from confcause import discovery
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
-from confcause.discovery import Mark, Pag, _FisherZTester, build_constraints, fci
+from confcause.discovery import (
+    Mark,
+    Pag,
+    _FisherZTester,
+    _Graph,
+    _RuleEngine,
+    build_constraints,
+    fci,
+)
+from confcause.effects import learn_model
 from confcause.errors import InputError, MissingRole
 from confcause.synthbench import Mechanism, generate_scm, sample, scm_from_mechanisms
 
@@ -230,6 +239,75 @@ def test_role_constraints_match_the_pair_sets(role_list):
         assert sc.allows_bidirected(u, v) == (
             adjacency and Role.OPTION not in (roles[u], roles[v])
         )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_options=st.integers(1, 3),
+    n_metrics=st.integers(1, 5),
+    n_objectives=st.integers(1, 2),
+    boolean_objectives=st.integers(0, 2),
+    density=st.sampled_from([0.3, 0.5, 0.8]),
+    n_latents=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_learned_models_keep_the_role_constraints_and_are_acyclic(
+    n_options, n_metrics, n_objectives, boolean_objectives, density, n_latents, seed
+):
+    scm = generate_scm(n_options, n_metrics, n_objectives, density, seed=seed,
+                       n_latents=n_latents, boolean_objectives=boolean_objectives)
+    ds = sample(scm, 1500)
+    pag, admg = learn_model(ds)
+    roles = {v.name: v.role for v in ds.variables}
+    sc = build_constraints(ds.variables)
+    for e in pag.edges:
+        assert {roles[e.u], roles[e.v]} != {Role.OPTION}
+        for x, mark_x, mark_y in ((e.u, e.mark_u, e.mark_v), (e.v, e.mark_v, e.mark_u)):
+            if roles[x] == Role.OPTION:
+                assert (mark_x, mark_y) == (Mark.TAIL, Mark.ARROW)
+            if roles[x] == Role.OBJECTIVE:
+                assert mark_x == Mark.ARROW
+    assert all(sc.allows_direction(u, v) for u, v in admg.directed)
+    assert all(sc.allows_bidirected(*pair) for pair in admg.bidirected)
+    assert sorted(admg.topological_order()) == sorted(roles)
+
+
+def test_decided_marks_are_never_overwritten():
+    g = _Graph(["a", "b"])
+    g.add_edge("a", "b", Mark.TAIL, Mark.ARROW)
+    assert not g.set_mark("a", "b", Mark.TAIL, "R1")
+    assert not g.set_mark("a", "b", Mark.ARROW, "R1")  # already that mark
+    assert (g.mark_at("b", "a"), g.mark_at("a", "b")) == (Mark.TAIL, Mark.ARROW)
+    assert g.conflicts == ["R1: refused arrow->tail at b on edge a-b"]
+
+
+def _marked_graph(edges):
+    """A search graph from (u, v, mark at u, mark at v) tuples."""
+    g = _Graph(sorted({x for e in edges for x in e[:2]}))
+    for u, v, mu, mv in edges:
+        g.add_edge(u, v, mu, mv)
+    return g
+
+
+T, A, C = Mark.TAIL, Mark.ARROW, Mark.CIRCLE
+
+
+@pytest.mark.parametrize("a_b", [(T, A), (T, C)], ids=["a-->b", "a--ob"])
+def test_r8_puts_a_tail_at_a(a_b):
+    # a --> b --> c (or a --o b --> c) with a o-> c
+    g = _marked_graph([("a", "b", *a_b), ("b", "c", T, A), ("a", "c", C, A)])
+    assert _RuleEngine(g, {})._r8()
+    assert g.mark_at("c", "a") == Mark.TAIL
+
+
+def test_r10_puts_a_tail_at_a():
+    # a o-> c, b --> c <-- d, a o-o m --> b and a o-o w --> d
+    g = _marked_graph([
+        ("a", "c", C, A), ("b", "c", T, A), ("d", "c", T, A),
+        ("a", "m", C, C), ("m", "b", T, A), ("a", "w", C, C), ("w", "d", T, A),
+    ])
+    assert _RuleEngine(g, {})._r10()
+    assert g.mark_at("c", "a") == Mark.TAIL
 
 
 def test_json_roundtrip():
