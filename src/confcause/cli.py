@@ -108,14 +108,16 @@ def _model(args: argparse.Namespace, ds) -> Admg:
     except (KeyError, TypeError, ValueError, EngineError) as exc:
         raise InputError(f"{args.model!r} is not a valid model: {exc!r}",
                          path=args.model) from exc
-    model, table = set(admg.vertices), set(ds.variables)
+    # a model file carries no domain, so compare as Dataset.schema() does
+    model = {(v.name, v.role.value, v.kind.value) for v in admg.vertices}
+    table = set(ds.schema())
     if model != table:
         raise InputError(
             f"{args.model!r} does not model this table: its vertices differ "
             f"from the columns in name, role or kind",
             path=args.model,
-            model_only=sorted(v.name for v in model - table),
-            table_only=sorted(v.name for v in table - model),
+            model_only=sorted(name for name, _, _ in model - table),
+            table_only=sorted(name for name, _, _ in table - model),
         )
     return admg
 

@@ -99,6 +99,53 @@ def partial_corrs_from_covs(covs: np.ndarray) -> np.ndarray:
     return r
 
 
+# c in the first-order bound c * 2**-52 * cond(C)**2 on the error of rho by
+# LU inverse or by Cholesky (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 10, 14): about 2m(m+1) times LU growth, < 1e4 at m <= 7
+_SCHUR_SLACK = 1e4
+
+
+def _schur_partial_corrs(cov: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partial correlation of x and y given z (at least one) for each ``(x,
+    y, *z)`` row of indices into ``cov``, and a bound on cond2 of the row's
+    joint covariance C; both NaN at a non-positive pivot or non-finite value.
+
+    Every entry is an array over the stack. An unrolled Cholesky gives
+    Czz = L L^T and W = L^-1 [Czx, I], and rho comes from the 2x2 Schur
+    complement S = Cxx - Wx^T Wx, the residual covariance of x and y. M =
+    [[L, 0], [Wx^T, chol(S)]] is the Cholesky factor of C in (z, x, y)
+    order, so cond2(C) <= ||C||_F ||M^-1||_F^2, and bounding the off-diagonal
+    block of M^-1 by the product of its factors' norms gives ||M^-1||_F^2 <=
+    a + b + a b ||Wx||_F^2, a = ||L^-1||_F^2, b = trace(S^-1).
+    """
+    n, k = cov.shape[0], rows.shape[1] - 2
+    ends = rows.T[[*range(2, k + 2), 0, 1]]
+    c = np.take(cov.ravel(), ends[:, None] * n + ends[None])  # C in (z, x, y) order
+    eye = np.broadcast_to(np.eye(k)[:, :, None], (k, k, rows.shape[0]))
+    rhs = np.concatenate([c[:k, k:], eye], axis=1)
+    with np.errstate(all="ignore"):
+        frob = np.sqrt(np.einsum("ijb,ijb->b", c, c))
+        L: dict[tuple[int, int], np.ndarray] = {}
+        w: list[np.ndarray] = []
+        for i in range(k):
+            for j in range(i + 1):
+                s = c[i, j] - sum(L[i, p] * L[j, p] for p in range(j))
+                L[i, j] = s / L[j, j] if j < i else np.sqrt(np.where(s > 0.0, s, np.nan))
+            w.append((rhs[i] - sum(L[i, p] * w[p] for p in range(i))) / L[i, i])
+        W = np.array(w)
+        sq = np.einsum("jab,jab->ab", W, W)
+        s00, s11 = c[k, k] - sq[0], c[k + 1, k + 1] - sq[1]
+        s01 = c[k + 1, k] - np.einsum("jb,jb->b", W[:, 0], W[:, 1])
+        rho = s01 / np.sqrt(s00 * s11)
+        det = s00 * s11 - s01 * s01
+        b = (s00 + s11) / np.where((s00 > 0.0) & (det > 0.0), det, np.nan)
+        a = sq[2:].sum(axis=0)
+        bound = frob * (a + b + a * b * (sq[0] + sq[1]))
+        bad = ~(np.isfinite(rho) & np.isfinite(bound))
+    rho[bad] = bound[bad] = np.nan
+    return rho, bound
+
+
 def _frobenius_sq(mats: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix of a stack."""
     return np.einsum("bij,bij->b", mats, mats)

@@ -27,11 +27,9 @@ from confcause.synthbench import (
     Mechanism,
     generate_scm,
     interventional_ace,
-    objective_variance_under,
     run_benchmark,
     sample,
     scm_from_mechanisms,
-    tiered_scm,
     transfer_series,
 )
 from confcause.discovery import Pag, PagEdge
@@ -39,6 +37,7 @@ from confcause.resolve import Admg
 from confcause.effects import ace_edge
 
 from test_stats import brute_force_min_coupling_2x2
+from tiered_system import objective_variance_under, tiered_scm
 
 
 def verdict(num: int, label: str, ok: bool, detail: str) -> None:

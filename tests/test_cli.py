@@ -223,6 +223,39 @@ class TestDiagnose:
             "path": str(model), "model_only": ["hitz"], "table_only": ["hits"],
         }
 
+    @pytest.mark.parametrize("categorical", [False, True], ids=["boolean", "categorical"])
+    def test_saved_model_of_a_table_with_domains(
+        self, tmp_path, capsys, monkeypatch, categorical
+    ):
+        """Boolean and categorical columns load with a domain that a model
+        file does not carry; the saved model still models their table."""
+        synth = tmp_path / "synth"
+        assert run(["synth", "--options", 3, "--metrics", 6, "--objectives", 2,
+                    "--boolean-objectives", 1, "--latents", 2, "--rows", 5000,
+                    "--seed", 5, "--out", synth], capsys)[0] == 0
+        roles = synth / "roles.json"
+        if categorical:
+            spec = json.loads(roles.read_text())
+            spec["o01"]["kind"] = "categorical"
+            roles.write_text(json.dumps(spec))
+        base = ["--data", synth / "data.csv", "--roles", roles]
+        assert run(["learn", *base, "--out", tmp_path / "learn"], capsys)[0] == 0
+        commands = [("diagnose", ["--objective", "y01"]),
+                    ("diagnose", ["--objective", "y02"]), ("rank", [])]
+        for i, (command, extra) in enumerate(commands):
+            assert run([command, *base, *extra, "--out", tmp_path / f"{i}.json"],
+                       capsys)[0] == 0
+        monkeypatch.setattr(effects, "fci", _no_search)
+        for i, (command, extra) in enumerate(commands):
+            code, _, err = run(
+                [command, *base, *extra, "--model", tmp_path / "learn" / "model.json",
+                 "--out", tmp_path / f"{i}-saved.json"], capsys
+            )
+            assert code == 0, err
+            assert (tmp_path / f"{i}-saved.json").read_bytes() == (
+                tmp_path / f"{i}.json"
+            ).read_bytes()
+
     @pytest.mark.parametrize(
         "content, method",
         [('{"directed": []}', "care"), ('{"vertices": [7]}', "care"),

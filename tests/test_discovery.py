@@ -380,6 +380,35 @@ def test_search_log_names_untestable_queries(caplog):
     assert match and int(match.group(1)) > 0 and int(match.group(2)) > 0
 
 
+def _search_log(ds, caplog):
+    """(sets inverted, untestable queries, CI tests) from the search log."""
+    fci(ds, build_constraints(ds.variables))
+    message = [m for m in caplog.messages if m.startswith("structure search")][-1]
+    match = re.fullmatch(
+        r"structure search: \d+ vertices, \d+ edges, (\d+) sets inverted, "
+        r"(\d+) untestable queries, (\d+) CI tests", message
+    )
+    assert match, message
+    return tuple(int(g) for g in match.groups())
+
+
+def test_search_log_counts_inverted_sets(caplog, monkeypatch):
+    """The conditioned sets the exact route decided: every one when the
+    kernel takes no stack; when it takes every stack, the singular ones
+    beside a copied column and none on a well-conditioned system. The
+    decisions, and so the counts of tests, do not change."""
+    caplog.set_level(logging.INFO, logger="confcause.discovery")
+    copied = _copied_metric(sample(collider_system(seed=4), 3000), "m3", "m4")
+    wide = sample(generate_scm(8, 24, 2, 0.15, seed=0), 2000)
+    monkeypatch.setattr(discovery, "_SCHUR_MIN_STACK", 1 << 62)
+    exact = [_search_log(ds, caplog) for ds in (copied, wide)]
+    monkeypatch.setattr(discovery, "_SCHUR_MIN_STACK", 1)
+    kernel = [_search_log(ds, caplog) for ds in (copied, wide)]
+    assert [e[1:] for e in exact] == [k[1:] for k in kernel]
+    assert exact[0][0] > kernel[0][0] > 0 and exact[0][1] > 0
+    assert exact[1][0] > 0 and kernel[1][0] == 0
+
+
 # --------------------------------------------------------------------------
 # the search's one-thread BLAS cap
 

@@ -38,6 +38,7 @@ class _OracleTester:
                 self.parents[v].add(latent)
         self.test_count = 0
         self.untestable_count = 0
+        self.inverted_count = 0  # no covariance matrix is inverted
         self._cache: dict[tuple[str, str, frozenset[str]], bool] = {}
 
     def separated(self, x: str, y: str, given: frozenset[str]) -> bool:

@@ -171,6 +171,7 @@ class _SequentialTester:
         self.cache: dict = {}
         self.test_count = 0
         self.untestable_count = 0
+        self.inverted_count = 0
 
     def _test(self, x, y, cond):
         """(result, counted) of one test, evaluated on its own."""
@@ -180,6 +181,7 @@ class _SequentialTester:
         sub = self._cov[np.ix_(idx, idx)]
         if sub[0, 0] == 0.0 or sub[1, 1] == 0.0:
             return True, False
+        self.inverted_count += bool(cond)
         rho = _reference_rho(sub)
         if rho is None:
             return None, False

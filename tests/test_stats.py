@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confcause import discovery
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
+from confcause.discovery import _FisherZTester
 from confcause.errors import InsufficientSamples, NonDiscreteVariable, SingularCovariance
 from confcause.stats import (
+    _SCREEN_LIMIT,
     _critical_rho,
     _fisher_z,
     _fisher_z_independent,
+    _schur_partial_corrs,
     conditional_entropy,
     entropy,
     fisher_z_test,
@@ -436,3 +441,179 @@ class TestFisherZDecision:
         rhos = np.array([0.0, 1e-300, 0.3, -0.999, 1.0, -1.0])
         got = _fisher_z_independent(rhos, 50, 2, alpha)
         assert got.tolist() == [_fisher_z(float(r), 50, 2)[1] > alpha for r in rhos]
+
+
+# --------------------------------------------------------------------------
+# the Schur-complement kernel against the exact route
+
+
+def _routes(tester, rows):
+    """``_evaluate``'s codes with the kernel on every conditioned stack, the
+    exact route's codes, and how many sets the kernel left to the exact
+    route."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discovery, "_SCHUR_MIN_STACK", 1)
+        before = tester.inverted_count
+        got = tester._evaluate(rows)
+        inverted = tester.inverted_count - before
+        mp.setattr(discovery, "_SCHUR_MIN_STACK", 1 << 62)
+        want = tester._evaluate(rows)
+    return got, want, inverted
+
+
+def _block_tester(blocks, n, alpha=0.05):
+    """A tester on ``n`` rows whose covariance is the block diagonal of
+    ``blocks``, and one (x, y, *z) row per block of one size."""
+    cov = scipy.linalg.block_diag(*blocks)
+    names = [f"v{i:03d}" for i in range(cov.shape[0])]
+    tester = _FisherZTester(_dataset(**{v: np.zeros(n) for v in names}), alpha)
+    tester._cov, tester._constant = cov, np.diagonal(cov) == 0.0
+    starts = np.cumsum([0] + [b.shape[0] for b in blocks[:-1]])
+    return tester, starts[:, None] + np.arange(blocks[0].shape[0])
+
+
+def _planted_cov(rng, k, rho, cond):
+    """Joint covariance of (x, y, *z) whose partial correlation of x and y
+    given z is ``rho``, with a conditioning block of condition number
+    ``cond``: the Schur complement [[1, rho], [rho, 1]] plus what z explains."""
+    czz = _cov_with_cond(rng, k, cond) if k > 1 else np.array([[10.0 ** rng.uniform(-3, 3)]])
+    czx = rng.standard_normal((k, 2)) * np.sqrt(np.diagonal(czz))[:, None]
+    cxx = np.array([[1.0, rho], [rho, 1.0]]) + czx.T @ np.linalg.solve(czz, czx)
+    return np.block([[cxx, czx.T], [czx, czz]])
+
+
+def _data_rows(tester, names, k, rng, count):
+    """``count`` random (x, y, *z) rows over ``names``, k conditioning."""
+    idx = [tester.index[v] for v in names]
+    rows = [rng.choice(idx, size=k + 2, replace=False) for _ in range(count)]
+    return np.array(rows, dtype=np.intp).reshape(count, k + 2)
+
+
+class TestSchurKernel:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_well_conditioned_stacks(self, k):
+        rng = np.random.default_rng(k)
+        data = rng.standard_normal((800, 10)) @ (np.eye(10) + 0.3 * rng.standard_normal((10, 10)))
+        ds = _dataset(**{f"c{i}": data[:, i] for i in range(10)})
+        tester = _FisherZTester(ds, 0.05)
+        got, want, _ = _routes(tester, _data_rows(tester, ds.names, k, rng, 300))
+        assert got == want
+        assert {0, 1} <= set(want)
+
+    def test_near_copies(self):
+        """Copies with noise 1e-4 to 1e-7 give conditioned sets with cond
+        from about 1e8 to 1e14: the kernel's bound sends them to the exact
+        route, which calls the worst singular."""
+        rng = np.random.default_rng(1)
+        base = rng.standard_normal((2000, 4))
+        cols = {f"b{i}": base[:, i] for i in range(4)}
+        for e in np.linspace(4.0, 7.0, 7):
+            cols[f"n{e:.1f}"] = base[:, 0] + 10.0 ** -e * rng.standard_normal(2000)
+        ds = _dataset(**cols)
+        tester = _FisherZTester(ds, 0.05)
+        for k in (1, 2, 3):
+            got, want, inverted = _routes(tester, _data_rows(tester, ds.names, k, rng, 400))
+            assert got == want
+            assert inverted > 0 and discovery._UNTESTABLE in want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_rho_planted_at_the_critical_value(self, k):
+        """On a grid, and at random distances with joint cond up to about
+        1e9, where the routes' rho can differ by more than the band."""
+        rng = np.random.default_rng(20 + k)
+        n = 5000
+        crit = _critical_rho(n, k, 0.05)
+        blocks = []
+        for sign in (1.0, -1.0):
+            for rho in (crit * (1 - 1e-10), crit * (1 + 1e-10), crit - 1e-7, crit + 1e-7):
+                for cond in (1.0, 1e2, 1e4):
+                    blocks.append(_planted_cov(rng, k, sign * rho, cond))
+        for _ in range(400):
+            rho = crit + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -8)
+            cond = 10.0 ** rng.uniform(3, 5)
+            blocks.append(_planted_cov(rng, k, rng.choice([-1.0, 1.0]) * rho, cond))
+        tester, rows = _block_tester(blocks, n)
+        got, want, inverted = _routes(tester, rows)
+        assert got == want
+        assert inverted >= 12  # every set at crit * (1 +- 1e-10)
+        assert {0, 1} <= set(want)
+
+    def test_extreme_and_infinite_cells(self):
+        """np.cov overflows on cells near 1e200; a little below, the entries
+        stay finite but their squares do not. Columns near 1e-100 and 1e-160
+        give finite bounds near 1e200, whose squares would overflow."""
+        rng = np.random.default_rng(3)
+        cols = {f"b{i}": rng.standard_normal(500) for i in range(4)}
+        for e in (100, 150, 155, 200):
+            cols[f"h{e}"] = cols["b0"] * 10.0 ** e + rng.standard_normal(500)
+        for e in (100, 160):
+            cols[f"t{e}"] = rng.standard_normal(500) * 10.0 ** -e
+        cols["inf"] = rng.standard_normal(500)
+        cols["inf"][7] = np.inf
+        ds = _dataset(**cols)
+        with np.errstate(all="ignore"):
+            tester = _FisherZTester(ds, 0.05)
+        for k in (1, 2):
+            got, want, inverted = _routes(tester, _data_rows(tester, ds.names, k, rng, 300))
+            assert got == want
+            assert inverted > 0 and discovery._UNTESTABLE in want
+
+    def test_constant_columns(self):
+        """A constant x or y needs no route; a constant in the conditioning
+        set is a zero pivot, which the exact route calls singular."""
+        rng = np.random.default_rng(4)
+        cols = {f"b{i}": rng.standard_normal(300) for i in range(5)}
+        cols["k1"], cols["k2"] = np.full(300, 3.0), np.zeros(300)
+        ds = _dataset(**cols)
+        tester = _FisherZTester(ds, 0.05)
+        for k in (1, 2, 3):
+            got, want, inverted = _routes(tester, _data_rows(tester, ds.names, k, rng, 300))
+            assert got == want
+            assert inverted > 0 and discovery._CONSTANT in want
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_few_rows(self, k):
+        """Up to k + 3 rows no set is testable and neither route runs; just
+        above, sets holding a column and its copy are singular."""
+        rng = np.random.default_rng(5)
+        inverted = 0
+        for n in (k + 2, k + 3, k + 4, k + 5, k + 6):
+            cols = {f"c{i}": rng.standard_normal(n) for i in range(k + 4)}
+            cols["copy"] = cols["c0"].copy()
+            ds = _dataset(**cols)
+            tester = _FisherZTester(ds, 0.05)
+            got, want, exact = _routes(tester, _data_rows(tester, ds.names, k, rng, 100))
+            assert got == want
+            if n <= k + 3:
+                assert want == [discovery._UNTESTABLE] * 100 and exact == 0
+            inverted += exact
+        assert inverted > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        cond=st.floats(0.0, 14.0),
+        near=st.sampled_from([None, 1e-12, 1e-9, 1e-7, 1e-4]),
+        n=st.sampled_from([8, 30, 500, 60000]),
+        alpha=st.sampled_from([0.01, 0.05, 0.2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hypothesis_spd_matrices(self, k, cond, near, n, alpha, seed):
+        """Random SPD matrices, some with rho planted near the critical
+        value: both routes decide alike, and the bound is at least cond."""
+        rng = np.random.default_rng(seed)
+        crit = _critical_rho(n, k, alpha)
+        blocks = []
+        for _ in range(24):
+            if near is None:
+                blocks.append(_cov_with_cond(rng, k + 2, 10.0 ** (cond * rng.uniform())))
+            else:
+                rho = crit * (1 + near * rng.choice([-1.0, 1.0])) * rng.choice([-1.0, 1.0])
+                blocks.append(_planted_cov(rng, k, rho, 10.0 ** (cond * rng.uniform())))
+        tester, rows = _block_tester(blocks, n, alpha)
+        got, want, _ = _routes(tester, rows)
+        assert got == want
+        _, bound = _schur_partial_corrs(tester._cov, rows)
+        real = np.linalg.cond(np.stack(blocks))
+        ok = bound < _SCREEN_LIMIT  # certified where the kernel may decide
+        assert (bound[ok] >= real[ok] * (1 - 1e-6)).all()

@@ -24,15 +24,15 @@ from confcause.synthbench import (
     intervene,
     interventional_ace,
     make_fault_benchmark,
-    objective_variance_under,
     sample,
     scale_edge,
     scm_from_mechanisms,
-    tiered_scm,
     total_linear_effect,
     transfer_scm,
     with_seed,
 )
+
+from tiered_system import objective_variance_under, tiered_scm
 
 
 def V(name, role, kind=Kind.CONTINUOUS):
