@@ -269,13 +269,6 @@ def _combos(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _pair_rows(x: int, y: int, sets: np.ndarray) -> np.ndarray:
-    """(x, y, *set) rows for a ``(B, k)`` array of conditioning sets."""
-    rows = np.empty((sets.shape[0], sets.shape[1] + 2), dtype=np.intp)
-    rows[:, 0], rows[:, 1], rows[:, 2:] = x, y, sets
-    return rows
-
-
 class _FisherZTester:
     """Fisher-z tests against a covariance matrix computed once per dataset.
 
@@ -296,7 +289,8 @@ class _FisherZTester:
         self.index = {name: i for i, name in enumerate(self.names)}
         position = {name: i for i, name in enumerate(ds.names)}
         order = [position[name] for name in self.names]
-        cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
         self._cov = cov[np.ix_(order, order)]
         self._constant = np.diagonal(self._cov) == 0.0
         self._cache: dict[bytes, bool | None] = {}
@@ -484,6 +478,21 @@ def _possible_d_sep(g: _Graph, x: str) -> set[str]:
     return reached
 
 
+def _first_separator(
+    tester: _FisherZTester, x: int, y: int, blocks: Iterable[np.ndarray]
+) -> np.ndarray | None:
+    """The first set that separates x and y, trying ``blocks`` (``(B, k)``
+    arrays of conditioning sets) in order, one stack each; None when no set
+    does. Blocks are drawn only while none has separated the pair."""
+    for sets in blocks:
+        rows = np.empty((sets.shape[0], sets.shape[1] + 2), dtype=np.intp)
+        rows[:, 0], rows[:, 1], rows[:, 2:] = x, y, sets
+        [hit] = tester.first_separators(rows, [rows.shape[0]])
+        if hit is not None:
+            return sets[hit]
+    return None
+
+
 def _pdsep_prune(
     tester: _FisherZTester,
     g: _Graph,
@@ -492,24 +501,16 @@ def _pdsep_prune(
 ) -> bool:
     """Retest every surviving edge against possible-d-sep subsets: those of
     u's possible-d-sep set, then v's, each by growing size, one stack per
-    size. A set already tried for the edge is a cache hit the second time."""
+    size; v's set is found only once u's subsets fail. A set already tried
+    for the edge is a cache hit the second time."""
     index, names = tester.index, tester.names
     removed_any = False
     for u, v in g.sorted_edges():
-        separator = None
-        for root in (u, v):
-            pool = np.array(
-                sorted(index[w] for w in _possible_d_sep(g, root) - {u, v}),
-                dtype=np.intp,
-            )
-            for size in range(1, min(max_cond_size, pool.shape[0]) + 1):
-                rows = _pair_rows(index[u], index[v], pool[_combos(pool.shape[0], size)])
-                [hit] = tester.first_separators(rows, [rows.shape[0]])
-                if hit is not None:
-                    separator = rows[hit, 2:]
-                    break
-            if separator is not None:
-                break
+        pools = (np.array(sorted(index[w] for w in _possible_d_sep(g, root) - {u, v}),
+                          dtype=np.intp) for root in (u, v))
+        blocks = (pool[_combos(pool.shape[0], size)] for pool in pools
+                  for size in range(1, min(max_cond_size, pool.shape[0]) + 1))
+        separator = _first_separator(tester, index[u], index[v], blocks)
         if separator is not None:
             g.remove_edge(u, v)
             sepsets[frozenset((u, v))] = frozenset(names[i] for i in separator)
@@ -587,33 +588,28 @@ over a marked search graph."""
             and self.g.mark_at(u, w) != Mark.TAIL
         )
 
-    def _uncovered_pd_paths(
-        self, a: str, target: str, first_hop_ok=None, cap: int = 256
-    ) -> list[list[str]]:
-        """All uncovered potentially directed paths a => ... => target,
-        depth-first in sorted order, capped for safety."""
-        out: list[list[str]] = []
+    def _uncovered_pd_path(self, a: str, first: str, target: str) -> bool:
+        """Is there an uncovered potentially directed path a, first, ...,
+        target? Depth-first over simple paths, stopping at the first."""
+        g = self.g
 
-        def extend(path: list[str]) -> None:
-            if len(out) >= cap:
-                return
+        def extend(path: list[str]) -> bool:
             tail = path[-1]
-            for w in self.g.neighbors(tail):
-                if w in path or not self._pd_step(tail, w):
-                    continue
-                if len(path) >= 2 and self.g.has_edge(path[-2], w):
-                    continue  # covered triple
-                if len(path) == 1 and first_hop_ok is not None and not first_hop_ok(w):
-                    continue
-                if w == target:
-                    out.append(path + [w])
-                    if len(out) >= cap:
-                        return
-                    continue
-                extend(path + [w])
+            return tail == target or any(
+                extend(path + [w]) for w in g.neighbors(tail)
+                if w not in path and self._pd_step(tail, w)
+                and not g.has_edge(path[-2], w)  # covered triple
+            )
 
-        extend([a])
-        return out
+        return self._pd_step(a, first) and extend([a, first])
+
+    def _half_arrows(self) -> Iterator[tuple[str, str]]:
+        """Each edge a o-> c as (a, c), its marks read as the walk reaches it."""
+        g = self.g
+        for a in g.nodes:
+            for c in g.neighbors(a):
+                if g.mark_at(a, c) == Mark.ARROW and g.mark_at(c, a) == Mark.CIRCLE:
+                    yield a, c
 
     # -- rules ----------------------------------------------------------------
 
@@ -743,24 +739,19 @@ over a marked search graph."""
         # a -> b -> c or a --o b -> c, with a o-> c: tail at a on a - c
         changed = False
         g = self.g
-        for a in g.nodes:
-            for c in g.neighbors(a):
-                if not (
-                    g.mark_at(a, c) == Mark.ARROW and g.mark_at(c, a) == Mark.CIRCLE
-                ):
+        for a, c in self._half_arrows():
+            for b in g.neighbors(a):
+                if b == c or not g.has_edge(b, c):
                     continue
-                for b in g.neighbors(a):
-                    if b == c or not g.has_edge(b, c):
-                        continue
-                    if not self._is_directed(b, c):
-                        continue
-                    chain1 = self._is_directed(a, b)
-                    chain2 = (
-                        g.mark_at(b, a) == Mark.TAIL
-                        and g.mark_at(a, b) == Mark.CIRCLE
-                    )
-                    if chain1 or chain2:
-                        changed = g.set_mark(c, a, Mark.TAIL, "R8") or changed
+                if not self._is_directed(b, c):
+                    continue
+                chain1 = self._is_directed(a, b)
+                chain2 = (
+                    g.mark_at(b, a) == Mark.TAIL
+                    and g.mark_at(a, b) == Mark.CIRCLE
+                )
+                if chain1 or chain2:
+                    changed = g.set_mark(c, a, Mark.TAIL, "R8") or changed
         return changed
 
     def _r9(self) -> bool:
@@ -768,18 +759,10 @@ over a marked search graph."""
         # where b, c non-adjacent: tail at a
         changed = False
         g = self.g
-        for a in g.nodes:
-            for c in g.neighbors(a):
-                if not (
-                    g.mark_at(a, c) == Mark.ARROW and g.mark_at(c, a) == Mark.CIRCLE
-                ):
-                    continue
-                paths = self._uncovered_pd_paths(
-                    a, c, first_hop_ok=lambda w: w != c and not g.has_edge(w, c),
-                    cap=1,
-                )
-                if paths:
-                    changed = g.set_mark(c, a, Mark.TAIL, "R9") or changed
+        for a, c in self._half_arrows():
+            if any(self._uncovered_pd_path(a, b, c) for b in g.neighbors(a)
+                   if b != c and not g.has_edge(b, c)):
+                changed = g.set_mark(c, a, Mark.TAIL, "R9") or changed
         return changed
 
     def _r10(self) -> bool:
@@ -787,33 +770,16 @@ over a marked search graph."""
         # first hops differ and are non-adjacent: tail at a
         changed = False
         g = self.g
-        for a in g.nodes:
-            for c in g.neighbors(a):
-                if not (
-                    g.mark_at(a, c) == Mark.ARROW and g.mark_at(c, a) == Mark.CIRCLE
-                ):
-                    continue
-                parents_c = [
-                    p for p in g.neighbors(c) if p != a and self._is_directed(p, c)
-                ]
-                done = False
-                for b, d in itertools.permutations(parents_c, 2):
-                    hops_b = {
-                        p[1] for p in self._uncovered_pd_paths(a, b) if p[1] != c
-                    }
-                    hops_d = {
-                        p[1] for p in self._uncovered_pd_paths(a, d) if p[1] != c
-                    }
-                    for m in sorted(hops_b):
-                        for w in sorted(hops_d):
-                            if m != w and not g.has_edge(m, w):
-                                changed = g.set_mark(c, a, Mark.TAIL, "R10") or changed
-                                done = True
-                                break
-                        if done:
-                            break
-                    if done:
-                        break
+        for a, c in self._half_arrows():
+            parents_c = [p for p in g.neighbors(c) if p != a and self._is_directed(p, c)]
+            if len(parents_c) < 2:
+                continue
+            firsts = [m for m in g.neighbors(a) if m != c]
+            hops = [{m for m in firsts if self._uncovered_pd_path(a, m, p)} for p in parents_c]
+            if any(m != w and not g.has_edge(m, w)
+                   for hops_b, hops_d in itertools.combinations(hops, 2)
+                   for m in hops_b for w in hops_d):
+                changed = g.set_mark(c, a, Mark.TAIL, "R10") or changed
         return changed
 
 
@@ -920,6 +886,14 @@ def fci(
             max_cond_size=max_cond_size,
         )
     ds.require_role_coverage()
+    # a finite variance bounds every covariance of the column (Cauchy-Schwarz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflown = [n for n in sorted(ds.names) if not np.isfinite(np.var(ds.column(n)))]
+    if overflown:
+        raise InputError(
+            f"the variance of {', '.join(overflown)} overflows; rescale those columns",
+            columns=overflown,
+        )
     tester = _FisherZTester(ds, alpha)
     names, index = tester.names, tester.index
     sepsets: dict[frozenset[str], frozenset[str]] = {}
@@ -982,24 +956,15 @@ def _retest_separated_pairs(
         recorded = warm_sepsets.get(frozenset((u, v)))
         pool = np.flatnonzero(adj[x] | adj[y])
         pool = pool[(pool != x) & (pool != y)]
-        lists: Iterable[np.ndarray]
+        blocks: Iterable[np.ndarray]
         if recorded is not None:
-            first_try = sorted(index[w] for w in recorded)
-            lists = [np.vstack([
-                np.array([first_try], dtype=np.intp),
-                pool[_combos(pool.shape[0], len(first_try))],
-            ])]
+            first_try = np.array([sorted(index[w] for w in recorded)], dtype=np.intp)
+            blocks = [np.vstack([first_try, pool[_combos(pool.shape[0], len(recorded))]])]
         else:
-            lists = (
+            blocks = (
                 pool[_combos(pool.shape[0], size)] for size in range(max_cond_size + 1)
             )
-        found: np.ndarray | None = None
-        for subsets in lists:
-            rows = _pair_rows(x, y, subsets)
-            [hit] = tester.first_separators(rows, [rows.shape[0]])
-            if hit is not None:
-                found = rows[hit, 2:]
-                break
+        found = _first_separator(tester, x, y, blocks)
         if found is not None:
             sepsets[frozenset((u, v))] = frozenset(names[i] for i in found)
         else:

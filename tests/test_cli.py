@@ -135,6 +135,27 @@ class TestLearn:
         assert code == 2
         assert "'1e20'" in err and "row 2" in err and "'cache'" in err
 
+    def test_overflowing_column_is_exit_2(self, chain_files, tmp_path, capsys):
+        data, roles = chain_files
+        lines = data.read_text().splitlines()
+        header = lines[0].split(",")
+        at = header.index("hits")
+        for i, line in enumerate(lines[1:], 1):
+            cells = line.split(",")
+            cells[at] = repr(float(cells[at]) * 1e200)
+            lines[i] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["learn", "--data", bad, "--roles", roles, "--out", tmp_path / "out"],
+            capsys,
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert payload["details"] == {"columns": ["hits"]}
+        assert not (tmp_path / "out").exists()
+
 class TestDiagnose:
     def test_causal_method_names_the_origin(self, chain_files, tmp_path, capsys):
         data, roles = chain_files

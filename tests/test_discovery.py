@@ -196,6 +196,18 @@ def test_bad_alpha_rejected():
             fci(ds, sc, alpha=alpha)
 
 
+def test_overflowing_column_rejected():
+    """A column near 1e200 overflows its variance, and with it every
+    covariance the tests would read: the search names it and stops."""
+    ds = sample(chain_system(), 500)
+    huge = _meta("m2", Role.METRIC)
+    ds = Dataset((*ds.variables, huge), {**ds.columns, "m2": 1e200 * ds.column("m")},
+                 ds.sample_count)
+    with pytest.raises(InputError) as err:
+        fci(ds, build_constraints(ds.variables))
+    assert err.value.details == {"columns": ["m2"]}
+
+
 def test_role_coverage_required():
     variables = (
         _meta("o", Role.OPTION, Kind.DISCRETE),
@@ -308,6 +320,39 @@ def test_r10_puts_a_tail_at_a():
     ])
     assert _RuleEngine(g, {})._r10()
     assert g.mark_at("c", "a") == Mark.TAIL
+
+
+def _diamonds(start, end, count):
+    """Directed diamonds x --> p_i --> y and x --> q_i --> y, chained from
+    ``start`` to ``end``: 2 ** count uncovered directed paths between them."""
+    joints = [start, *(f"x{i}" for i in range(1, count)), end]
+    return [
+        edge for i, (x, y) in enumerate(zip(joints, joints[1:]))
+        for mid in (f"p{i}", f"q{i}")
+        for edge in ((x, mid, T, A), (mid, y, T, A))
+    ]
+
+
+def test_r10_sees_every_first_hop_past_many_paths():
+    # a o-> c, b --> c <-- d, a o-o z o-o b and a o-o e o-o d; first hop e
+    # also reaches b, through 512 uncovered paths that come before z's one
+    g = _marked_graph([
+        ("a", "c", C, A), ("b", "c", T, A), ("d", "c", T, A),
+        ("a", "e", C, C), ("a", "z", C, C), ("e", "d", C, C), ("z", "b", C, C),
+        *_diamonds("e", "b", 9),
+    ])
+    assert _RuleEngine(g, {})._r10()
+    assert g.mark_at("c", "a") == Mark.TAIL
+
+
+@pytest.mark.parametrize("b_c", [None, (T, A)], ids=["b,c apart", "b-->c"])
+def test_r9_needs_a_first_hop_apart_from_c(b_c):
+    # a o-> c with the uncovered potentially directed path a o-o b o-o d --> c:
+    # a tail at a, unless the first hop b is adjacent to c
+    edges = [("a", "c", C, A), ("a", "b", C, C), ("b", "d", C, C), ("d", "c", T, A)]
+    g = _marked_graph(edges + ([("b", "c", *b_c)] if b_c else []))
+    assert _RuleEngine(g, {})._r9() == (b_c is None)
+    assert g.mark_at("c", "a") == (Mark.CIRCLE if b_c else Mark.TAIL)
 
 
 def test_json_roundtrip():

@@ -446,22 +446,25 @@ def _sequential_retest(tester, adj, sepsets, sc, max_cond_size, warm_sepsets):
 def _search(ds, max_cond_size, sequential, warm=None, warm_sepsets=None):
     """``fci`` with the batched engine, or with the sequential tester and
     search phases; returns the PAG and the tester it used. The engine's
-    stacks must stay within the cap."""
+    stacks, on the exact route and the Schur kernel, must stay within the
+    cap."""
     testers = []
     engine = _SequentialTester if sequential else _FisherZTester
-    stacked = discovery.partial_corrs_from_covs
 
     def recording(*args):
         testers.append(engine(*args))
         return testers[-1]
 
-    def capped(covs):
-        assert 0 < covs.shape[0] <= discovery._STACK_CAP
-        return stacked(covs)
+    def capped(route):
+        def call(*args):  # the stack is the last argument of either route
+            assert 0 < args[-1].shape[0] <= discovery._STACK_CAP
+            return route(*args)
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discovery, "_FisherZTester", recording)
-        mp.setattr(discovery, "partial_corrs_from_covs", capped)
+        for route in ("partial_corrs_from_covs", "_schur_partial_corrs"):
+            mp.setattr(discovery, route, capped(getattr(discovery, route)))
         if sequential:
             mp.setattr(discovery, "_prune_by_neighbors", _sequential_prune_by_neighbors)
             mp.setattr(discovery, "_pdsep_prune", _sequential_pdsep_prune)
