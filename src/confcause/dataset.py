@@ -485,8 +485,10 @@ def _equal_frequency_codes(col: np.ndarray, bins: int, name: str) -> np.ndarray:
         raise BadBinCount(
             f"bin_count must be >= 2, got {bins}", variable=name, bin_count=bins
         )
-    interior = np.asarray(_equal_frequency_edges(col, bins)[1:-1], dtype=np.float64)
-    return np.searchsorted(interior, col, side="left").astype(np.int64)
+    codes = np.zeros(col.shape[0], dtype=np.int64)
+    for edge in _equal_frequency_edges(col, bins)[1:-1]:
+        codes += col > edge  # count the interior edges strictly below
+    return codes
 
 
 def discretize(ds: Dataset, bins: int) -> Dataset:

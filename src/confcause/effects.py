@@ -21,12 +21,13 @@ from .dataset import Dataset, Kind, Role, _equal_frequency_codes, discretize
 from .discovery import Pag, build_constraints, fci
 from .errors import (
     BadBinCount,
+    EmptyDataset,
     InputError,
     NoPathsFound,
     UnidentifiableEffect,
 )
 from .resolve import Admg, resolve_edges
-from .stats import _joint_codes
+from .stats import _joint_codes, _levels
 
 logger = logging.getLogger(__name__)
 
@@ -190,7 +191,7 @@ def ace_edge(
 
     Raises UnidentifiableEffect when the treatment shares a bidirected edge
     with the outcome or with an ancestor of the outcome (no adjustment set
-    can close that confounding).
+    can close that confounding), and EmptyDataset when there are no rows.
 
     ``_codes`` keeps the level codes of each column across calls on the same
     dataset and ``bins``, so that :func:`cpwe` bins each column once.
@@ -208,18 +209,19 @@ def ace_edge(
                 treatment=treatment, outcome=outcome, confounded_with=w,
             )
 
+    if ds.sample_count == 0:
+        raise EmptyDataset("no rows to estimate an effect from", treatment=treatment)
+
     adjustment = admg.parents(treatment)
     codes = {} if _codes is None else _codes
     for name in (treatment, *adjustment):
         if name not in codes:
             codes[name] = _coded_column(ds, name, bins)
-    t_codes = codes[treatment]
-    levels, level_of_row = np.unique(t_codes, return_inverse=True)
-    y = ds.column(outcome).astype(np.float64)
+    levels, level_of_row = _levels(codes[treatment])
+    y = ds.column(outcome).astype(np.float64, copy=False)
 
     if adjustment:
-        strata_mat = np.column_stack([codes[a] for a in adjustment])
-        cell_of_row = _joint_codes(strata_mat)
+        cell_of_row = _joint_codes(np.stack([codes[a] for a in adjustment]).T)
         cell_counts = np.bincount(cell_of_row)
         cell_weights = cell_counts / cell_counts.sum()
     else:
@@ -228,13 +230,17 @@ def ace_edge(
 
     # a stable sort groups the rows of each (level, cell) in their original
     # order, so every mean runs over the same elements in the same order as a
-    # boolean-mask selection would
-    group = _joint_codes(np.column_stack([level_of_row, cell_of_row]))
+    # boolean-mask selection would; a stable sort's permutation is unique, so
+    # keys that fit in 16 bits take numpy's radix sort
+    group = level_of_row * cell_weights.shape[0] + cell_of_row
+    if levels.shape[0] * cell_weights.shape[0] <= 1 << 16:
+        group = group.astype(np.uint16)
     order = np.argsort(group, kind="stable")
-    bounds = np.flatnonzero(np.diff(group[order])) + 1
+    group, y = group[order], y[order]
+    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), group.shape[0]]
     means = np.full((levels.shape[0], cell_weights.shape[0]), np.nan)
-    for rows in np.split(order, bounds):
-        means[level_of_row[rows[0]], cell_of_row[rows[0]]] = float(y[rows].mean())
+    for a, b in zip(cuts, cuts[1:]):
+        means.flat[group[a]] = float(y[a:b].mean())
 
     adjusted = np.zeros(levels.shape[0])
     for li in range(levels.shape[0]):

@@ -290,8 +290,28 @@ def _require_discrete(ds: Dataset, variables: Sequence[str]) -> np.ndarray:
                 f"entropy requires discrete columns; {name!r} is continuous",
                 variable=name,
             )
-        cols.append(ds.column(name).astype(np.int64))
-    return np.column_stack(cols)
+        cols.append(ds.column(name).astype(np.int64, copy=False))
+    return np.stack(cols).T  # column-major: each column is contiguous
+
+
+_COUNTING_SPAN = 4  # widest max - min + 1 that _levels counts, per element
+
+
+def _levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a 1-D integer array,
+    without a sort while the range is narrow: a value's code is the rank of
+    its offset from the minimum among the offsets present."""
+    if values.shape[0]:
+        lo = values.min()
+        span = int(values.max()) - int(lo) + 1
+        if span <= _COUNTING_SPAN * values.shape[0]:
+            offsets = values - lo
+            present = np.bincount(offsets, minlength=span) > 0
+            if present.all():  # every offset is its own rank
+                return np.arange(span) + lo, offsets
+            rank = np.cumsum(present, dtype=np.intp) - 1
+            return np.flatnonzero(present) + lo, rank[offsets]
+    return np.unique(values, return_inverse=True)
 
 
 def _joint_codes(mat: np.ndarray) -> np.ndarray:
@@ -302,10 +322,10 @@ def _joint_codes(mat: np.ndarray) -> np.ndarray:
     level index) and the codes re-compacted after each fold, so they stay
     below the row count whatever the column cardinalities are.
     """
-    _, codes = np.unique(mat[:, 0], return_inverse=True)
+    _, codes = _levels(mat[:, 0])
     for col in mat.T[1:]:
-        levels, inverse = np.unique(col, return_inverse=True)
-        _, codes = np.unique(codes * levels.shape[0] + inverse, return_inverse=True)
+        levels, inverse = _levels(col)
+        _, codes = _levels(codes * levels.shape[0] + inverse)
     return codes
 
 
@@ -362,8 +382,8 @@ def min_entropy_latent(
     when both columns are constant.
     """
     mat = _require_discrete(ds, [x, y])
-    xs, x_codes = np.unique(mat[:, 0], return_inverse=True)
-    ys, y_codes = np.unique(mat[:, 1], return_inverse=True)
+    xs, x_codes = _levels(mat[:, 0])
+    ys, y_codes = _levels(mat[:, 1])
     counts = np.bincount(
         x_codes * ys.shape[0] + y_codes, minlength=xs.shape[0] * ys.shape[0]
     ).reshape(xs.shape[0], ys.shape[0])

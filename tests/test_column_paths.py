@@ -1,10 +1,11 @@
 """Whole-column paths checked against the row-at-a-time code they replaced.
 
-Joint coding of integer rows, the CSV reader, the contingency table of the
-minimum-entropy coupling and the backdoor strata of ACE all work a column at
-a time. Each is compared here with a row or cell loop, and the statistics,
-the learned model and the diagnoses are checked not to depend on the order
-of rows or columns.
+Level coding by counting, equal-frequency bin codes, joint coding of integer
+rows, the CSV reader, the contingency table of the minimum-entropy coupling
+and the backdoor strata of ACE all work a column at a time. Each is compared
+here with the sorting call or the row or cell loop it replaced, and the
+statistics, the learned model and the diagnoses are checked not to depend on
+the order of rows or columns.
 """
 
 import csv
@@ -14,6 +15,7 @@ import itertools
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,10 +36,127 @@ from confcause.dataset import (
 from confcause.effects import _coded_column, ace_edge, cpwe, learn_model
 from confcause.errors import EmptyDataset
 from confcause.resolve import Admg
-from confcause.stats import _joint_codes, entropy, greedy_coupling, min_entropy_latent
+from confcause.stats import (
+    _COUNTING_SPAN,
+    _joint_codes,
+    _levels,
+    entropy,
+    greedy_coupling,
+    min_entropy_latent,
+)
 from confcause.synthbench import generate_scm, sample
 
 from test_stats import _discrete_dataset
+
+# --------------------------------------------------------------------------
+# level coding by counting
+
+
+def _assert_unique_inverse(values):
+    want_levels, want_inverse = np.unique(values, return_inverse=True)
+    levels, inverse = _levels(values)
+    for got, want in ((levels, want_levels), (inverse, want_inverse)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@given(
+    arrays(
+        np.int64,
+        st.integers(0, 60),
+        elements=st.one_of(
+            st.integers(-3, 3),
+            st.integers(-300, 300),
+            st.integers(-(2**63), 2**63 - 1),
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_levels_are_the_unique_inverse(values):
+    _assert_unique_inverse(values)
+
+
+def _span_array(n: int, span: int, low: int = -7) -> np.ndarray:
+    """``n`` values from ``low`` whose max - min + 1 is ``span``, with gaps."""
+    return np.array([low, low + span - 1, *[low + span // 2] * (n - 2)], dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "values, counted",
+    [
+        (np.array([], dtype=np.int64), False),
+        (np.array([5], dtype=np.int64), True),
+        (np.array([-(2**63)], dtype=np.int64), True),
+        (np.full(9, 4, dtype=np.int64), True),
+        (np.array([-5, -1, -5, -3, -1], dtype=np.int64), True),
+        (_span_array(6, _COUNTING_SPAN * 6), True),
+        (_span_array(6, _COUNTING_SPAN * 6 + 1), False),
+        (_span_array(6, _COUNTING_SPAN * 6, low=-(2**63)), True),
+        (_span_array(6, _COUNTING_SPAN * 6, low=2**63 - _COUNTING_SPAN * 6), True),
+        (np.array([2**63 - 1, -(2**63), 0, 2**63 - 1], dtype=np.int64), False),
+        (np.array([-(2**63), -(2**63) + 1, -(2**63)], dtype=np.int64), True),
+        (np.array([2**63 - 1, 2**63 - 2], dtype=np.int64), True),
+    ],
+)
+def test_levels_count_up_to_the_span_switch(values, counted, monkeypatch):
+    """Equal to ``np.unique`` on both sides of the switch, which counts while
+    max - min + 1 is at most ``_COUNTING_SPAN`` times the length."""
+    _assert_unique_inverse(values)
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    _levels(values)
+    assert not sorts if counted else sorts
+
+
+# --------------------------------------------------------------------------
+# equal-frequency bin codes against a binary search over the edges
+
+
+def _reference_bin_codes(col, bins):
+    interior = np.asarray(dataset._equal_frequency_edges(col, bins)[1:-1], dtype=np.float64)
+    return np.searchsorted(interior, col, side="left").astype(np.int64)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]),
+            st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    st.integers(2, 7),
+)
+@settings(max_examples=300, deadline=None)
+def test_equal_frequency_codes_match_binary_search(values, bins):
+    col = np.asarray(values, dtype=np.float64)
+    got = dataset._equal_frequency_codes(col, bins, "x")
+    want = _reference_bin_codes(col, bins)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "values, bins",
+    [
+        # values that sit exactly on the interior edges 1, 2 and 3
+        ([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0], 4),
+        # repeated quantiles collapse edges: only one interior edge survives
+        ([0.0] * 7 + [1.0, 2.0, 3.0], 5),
+        ([5.0] * 6, 3),
+        ([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 0.0, -0.0], 4),
+        ([0.0, -0.0, 0.0, 2.0], 2),
+    ],
+)
+def test_equal_frequency_codes_edge_cases(values, bins):
+    col = np.asarray(values, dtype=np.float64)
+    np.testing.assert_array_equal(
+        dataset._equal_frequency_codes(col, bins, "x"), _reference_bin_codes(col, bins)
+    )
+
 
 # --------------------------------------------------------------------------
 # joint coding
@@ -180,6 +299,56 @@ def test_ace_edge_matches_mask_loop(columns, adjusted):
     admg = Admg(metas, frozenset(directed), frozenset())
     got = ace_edge(ds, admg, "t", "y", bins=3).value
     assert got == _reference_ace(ds, admg, "t", "y", 3)
+
+
+def test_ace_edge_matches_mask_loop_past_sixteen_bit_group_keys():
+    """Over 65,536 (level, cell) pairs: the groups are ordered by an int64
+    sort instead of a 16-bit one, and the levels are wide-ranged."""
+    rng = np.random.default_rng(3)
+    n = 400
+    metas = (
+        VariableMeta("p", Role.OPTION, Kind.DISCRETE),
+        VariableMeta("t", Role.METRIC, Kind.DISCRETE),
+        VariableMeta("y", Role.OBJECTIVE, Kind.CONTINUOUS),
+    )
+    ds = Dataset(
+        metas,
+        {
+            "p": rng.integers(-(10**12), 10**12, n),
+            "t": rng.integers(0, 10**6, n),
+            "y": rng.standard_normal(n),
+        },
+        n,
+    )
+    admg = Admg(metas, frozenset({("p", "t"), ("t", "y")}), frozenset())
+    assert len(np.unique(ds.column("t"))) * len(np.unique(ds.column("p"))) > 1 << 16
+    assert ace_edge(ds, admg, "t", "y").value == _reference_ace(ds, admg, "t", "y", 5)
+
+
+@pytest.mark.parametrize("treatment", ["p", "t"])
+def test_ace_edge_on_no_rows_raises_empty_dataset(treatment):
+    metas = (
+        VariableMeta("p", Role.OPTION, Kind.DISCRETE),
+        VariableMeta("t", Role.METRIC, Kind.CONTINUOUS),
+        VariableMeta("y", Role.OBJECTIVE, Kind.CONTINUOUS),
+    )
+    columns = {"p": np.zeros(0, dtype=np.int64), "t": np.zeros(0), "y": np.zeros(0)}
+    ds = Dataset(metas, columns, 0)
+    admg = Admg(metas, frozenset({("p", "t"), ("t", "y")}), frozenset())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDataset):
+            ace_edge(ds, admg, treatment, "y")
+
+
+def test_entropy_and_coupling_on_no_rows():
+    ds = _discrete_dataset(a=[], b=[])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = entropy(ds, ["a", "b"])
+        latent = min_entropy_latent(ds, "a", "b")
+    assert h == 0.0 and math.copysign(1.0, h) == -1.0
+    assert latent == (0.0, {})
 
 
 # --------------------------------------------------------------------------
