@@ -1,0 +1,127 @@
+"""Time the structure search on a fixed ladder of generated systems and the
+``confcause bench`` study, and write the results as one JSON column.
+
+    python scripts/bench.py --out BENCH.json [--column NAME]
+
+Each ladder rung is ``generate_scm(options, metrics, objectives, density,
+seed=0)`` sampled with ``sample(scm, rows)``. ``fci`` runs three times with
+its defaults; the rung records the fastest wall time, the four counts of the
+``structure search:`` log line, the adjacency F1 against the true graph and
+the learned edge count. The study is ``confcause bench`` with its defaults
+(``run_benchmark`` and ``transfer_series`` on seed 0), timed once, with the
+causal method's pooled precision, recall, F1 and false positives. When
+``--out`` already holds other columns, the new one is written next to them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import logging
+import os
+import platform
+import re
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from confcause import __version__  # noqa: E402
+from confcause.discovery import build_constraints, fci  # noqa: E402
+from confcause.synthbench import generate_scm, run_benchmark, sample, transfer_series  # noqa: E402
+
+# name: (options, metrics, objectives, density, rows)
+LADDER = {
+    "small": (3, 5, 1, 0.15, 10_000),
+    "mid": (8, 20, 2, 0.15, 20_000),
+    "large": (12, 40, 3, 0.15, 50_000),
+    "large_d0.3": (12, 40, 3, 0.3, 50_000),
+}
+REPEATS = 3
+SEARCH_LINE = re.compile(
+    r"structure search: (?P<vertices>\d+) vertices, (?P<edges>\d+) edges, "
+    r"(?P<sets_inverted>\d+) sets inverted, (?P<untestable>\d+) untestable queries, "
+    r"(?P<ci_tests>\d+) CI tests"
+)
+
+
+class _LastMessage(logging.Handler):
+    def emit(self, record: logging.LogRecord) -> None:
+        self.message = record.getMessage()
+
+
+def adjacency_f1(true_directed, learned) -> float:
+    """F1 of the learned adjacencies against the true graph's."""
+    truth = {frozenset(edge) for edge in true_directed}
+    hits = len(truth & learned)
+    precision = hits / len(learned) if learned else 1.0
+    recall = hits / len(truth) if truth else 1.0
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
+def rung(options: int, metrics: int, objectives: int, density: float, rows: int) -> dict:
+    scm = generate_scm(options, metrics, objectives, density, seed=0)
+    ds = sample(scm, rows)
+    sc = build_constraints(ds.variables)
+    handler, logger = _LastMessage(), logging.getLogger("confcause.discovery")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    times = []
+    try:
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            pag = fci(ds, sc)
+            times.append(time.perf_counter() - start)
+    finally:
+        logger.removeHandler(handler)
+    counts = SEARCH_LINE.search(handler.message)
+    return {
+        "shape": [options, metrics, objectives, density, rows],
+        "fci_s": round(min(times), 4),
+        **{name: int(value) for name, value in counts.groupdict().items() if name != "vertices"},
+        "adj_f1": round(adjacency_f1(scm.graph.directed, pag.adjacencies()), 4),
+        "true_edges": len(scm.graph.directed),
+    }
+
+
+def study() -> dict:
+    start = time.perf_counter()
+    report = run_benchmark()
+    transfer_series()
+    wall = time.perf_counter() - start
+    care = report.totals("care")
+    return {
+        "wall_s": round(wall, 3),
+        **{name: round(care[name], 4) for name in ("precision", "recall", "f1")},
+        "fp": care["fp"],
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write the column to")
+    parser.add_argument("--column", default="results", help="name of the column")
+    args = parser.parse_args(argv)
+    column = {
+        "environment": {
+            "confcause": __version__, "numpy": np.__version__,
+            "python": platform.python_version(), "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+        },
+        "ladder": {name: rung(*shape) for name, shape in LADDER.items()},
+        "study": study(),
+    }
+    out = Path(args.out)
+    columns = json.loads(out.read_text()) if out.exists() else {}
+    columns[args.column] = column
+    out.write_text(json.dumps(columns, indent=2, sort_keys=True) + "\n")
+    print(json.dumps({args.column: column}, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

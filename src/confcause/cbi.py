@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .dataset import Dataset, Kind, Role, _equal_frequency_edges
-from .errors import InputError
+from .errors import EmptyDataset, InputError
 
 logger = logging.getLogger(__name__)
 
@@ -170,6 +170,8 @@ def cbi_root_causes(
 ) -> list[str]:
     """Predicted root causes: positive-importance options, best first, capped
     at ``top_k`` (zero-score options are never predicted)."""
+    if ds.sample_count == 0:
+        raise EmptyDataset("no rows to rank options on")
     ranked = cbi_rank(ds, fault_labels, ci_level)
     return [name for name, score in ranked[:top_k] if score > 0.0]
 

@@ -495,6 +495,8 @@ def discretize(ds: Dataset, bins: int) -> Dataset:
     """Return a new dataset with every continuous column replaced by its
     codes in ``bins`` equal-frequency bins (kind becomes Discrete). The
     input dataset is never mutated."""
+    if ds.sample_count == 0:
+        raise EmptyDataset("no rows to discretize")
     if all(v.kind != Kind.CONTINUOUS for v in ds.variables):
         return ds
     cols = dict(ds.columns)

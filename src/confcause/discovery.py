@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, Role, VariableMeta
-from .errors import InputError, UnknownVariable
+from .errors import EmptyDataset, InputError, UnknownVariable
 from .stats import (_DECISION_BAND, _SCHUR_SLACK, _SCREEN_LIMIT, _critical_rho,
                     _fisher_z_independent, _schur_partial_corrs, partial_corrs_from_covs)
 
@@ -222,9 +222,7 @@ class _Graph:
     def set_mark(self, u: str, v: str, mark: Mark, rule: str) -> bool:
         """Set the mark at v's end of edge u - v; only circles may change."""
         cur = self.marks.get((u, v))
-        if cur is None:
-            return False
-        if cur == mark:
+        if cur is None or cur == mark:
             return False
         if cur != Mark.CIRCLE:
             self.conflicts.append(
@@ -253,10 +251,12 @@ _STACK_CAP = 8192
 # of size 1-3, and from 64 sets on the kernel was 20-50% faster
 _SCHUR_MIN_STACK = 64
 
-# (result, counted) per outcome code of ``_FisherZTester._evaluate``: 0
-# dependent, 1 independent, then a constant column and an untestable query
-_OUTCOMES = ((False, True), (True, True), (True, False), (None, False))
+# outcome codes of ``_FisherZTester._evaluate``: 0 dependent, 1 independent,
+# then a constant column and an untestable query; 1 and 2 separate the pair
 _CONSTANT, _UNTESTABLE = 2, 3
+_SEPARATES = np.array([False, True, True, False])
+# a row is looked up in the cache only when a cached key shares its low 20 bits
+_SEEN_SLOTS = 1 << 20
 
 
 @functools.lru_cache(maxsize=256)
@@ -269,17 +269,27 @@ def _combos(n: int, k: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=64)
+def _key_weights(base: int, width: int) -> np.ndarray:
+    """Place values of a query's key: a row's indices + 1 are its digits in
+    ``base``, the column count + 1, so rows of different widths never share
+    a key. Keys that may pass int64 are exact Python integers (object dtype)."""
+    return np.array([base**j for j in range(width)],
+                    dtype=object if base**width > 2**63 else np.int64)
+
+
 class _FisherZTester:
     """Fisher-z tests against a covariance matrix computed once per dataset.
 
     Variables are numbered in sorted-name order (``names``, ``index``), and
     a query is a row of column indices: the pair x < y, then the
-    conditioning set in increasing order. Results are memoised per row:
-    True (independent), False (dependent), or None when the query is
-    untestable (singular submatrix or too few rows for the conditioning
-    size). ``test_count`` counts the tests that produced a statistic,
-    ``untestable_count`` the untestable queries, and ``inverted_count`` the
-    conditioned sets that the exact route decided (see ``_evaluate``).
+    conditioning set in increasing order. Outcome codes are memoised per
+    row under an integer key (``_key_weights``), and ``_seen`` marks the low
+    bits of every cached key. ``test_count`` counts the cached tests that
+    produced a statistic, ``untestable_count`` the cached untestable queries
+    (singular submatrix or too few rows for the conditioning size), and
+    ``inverted_count`` the conditioned sets that the exact route decided
+    (see ``_evaluate``).
     """
 
     def __init__(self, ds: Dataset, alpha: float) -> None:
@@ -293,10 +303,18 @@ class _FisherZTester:
             cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
         self._cov = cov[np.ix_(order, order)]
         self._constant = np.diagonal(self._cov) == 0.0
-        self._cache: dict[bytes, bool | None] = {}
-        self.test_count = 0
-        self.untestable_count = 0
+        self._cache: dict[int, int] = {}
+        self._seen = np.zeros(_SEEN_SLOTS, dtype=bool)
         self.inverted_count = 0
+
+    @property
+    def test_count(self) -> int:
+        codes = bytes(self._cache.values())
+        return len(codes) - codes.count(_CONSTANT) - codes.count(_UNTESTABLE)
+
+    @property
+    def untestable_count(self) -> int:
+        return bytes(self._cache.values()).count(_UNTESTABLE)
 
     def first_separators(
         self, rows: np.ndarray, stops: Sequence[int]
@@ -306,38 +324,34 @@ class _FisherZTester:
 
         ``rows`` is a ``(B, k + 2)`` array of query rows, all of one
         conditioning size; query j is ``rows[stops[j - 1]:stops[j]]``. Every
-        uncached set is evaluated first, in stacks. Each query is then
-        replayed in order, exactly as one test at a time would: the sets up
-        to and including the first separating one are cached and counted,
-        and the rest are dropped.
+        uncached set is evaluated first, in stacks. Then, exactly as one test
+        at a time would, each query's sets up to and including its first
+        separating one are cached, and the rest are dropped.
         """
-        rows = np.ascontiguousarray(rows, dtype=np.intp)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-        keys = keys.ravel().tolist()
-        cache = self._cache
-        fresh = [i for i, key in enumerate(keys) if key not in cache]
-        codes = dict(zip(fresh, self._evaluate(rows[fresh]) if fresh else ()))
-        hits: list[int | None] = []
-        start = 0
-        for stop in stops:
-            hit = None
-            for i in range(start, stop):
-                key = keys[i]
-                if key in cache:
-                    result = cache[key]
-                else:
-                    result, counted = _OUTCOMES[codes[i]]
-                    cache[key] = result
-                    self.test_count += counted
-                    self.untestable_count += result is None
-                if result is True:
-                    hit = i
-                    break
-            hits.append(hit)
-            start = stop
-        return hits
+        keys = (rows + 1) @ _key_weights(len(self.names) + 1, rows.shape[1])
+        slots = (keys & (_SEEN_SLOTS - 1)).astype(np.intp)
+        # cached codes, -1 when uncached, and a separating code past the last row
+        codes = np.full(keys.shape[0] + 1, -1)
+        codes[-1] = 1
+        maybe = self._seen[slots].nonzero()[0]
+        codes[maybe] = np.fromiter(
+            map(self._cache.get, keys[maybe].tolist(), itertools.repeat(-1)), np.intp, len(maybe)
+        )
+        fresh = (codes < 0).nonzero()[0]
+        if fresh.shape[0]:
+            codes[fresh] = self._evaluate(rows[fresh])
+        found = _SEPARATES[codes].nonzero()[0]
+        bounds = np.array([0, *stops], dtype=np.intp)
+        count = found.searchsorted(bounds)  # separating sets before each bound
+        hit = count[1:] > count[:-1]
+        first = found[count[:-1]]  # each query's first separating set, or a later one
+        if fresh.shape[0]:
+            reached = fresh[fresh <= first[bounds[1:].searchsorted(fresh, "right")]]
+            self._cache.update(zip(keys[reached].tolist(), codes[reached].tolist()))
+            self._seen[slots[reached]] = True
+        return [at if ok else None for at, ok in zip(first.tolist(), hit.tolist())]
 
-    def _evaluate(self, rows: np.ndarray) -> list[int]:
+    def _evaluate(self, rows: np.ndarray) -> np.ndarray:
         """Outcome code per query row, ``_STACK_CAP`` rows at a time. In a
         stack of ``_SCHUR_MIN_STACK`` or more conditioned sets, the Schur
         kernel decides the sets whose cond(C) bound is below ``_SCREEN_LIMIT``
@@ -346,10 +360,9 @@ class _FisherZTester:
         set) would decide them alike without the scalar test; it does the rest."""
         k = rows.shape[1] - 2
         if self.n <= k + 3:
-            return [_UNTESTABLE] * rows.shape[0]
+            return np.full(rows.shape[0], _UNTESTABLE)
         # constant columns carry no dependence
-        constant = self._constant[rows[:, 0]] | self._constant[rows[:, 1]]
-        live = np.flatnonzero(~constant)
+        live = np.flatnonzero(~(self._constant[rows[:, 0]] | self._constant[rows[:, 1]]))
         codes = np.full(rows.shape[0], _CONSTANT)
         crit = _critical_rho(self.n, k, self.alpha)
         for at in range(0, live.shape[0], _STACK_CAP):
@@ -370,7 +383,7 @@ class _FisherZTester:
                     np.isnan(rhos), _UNTESTABLE,
                     _fisher_z_independent(rhos, self.n, k, self.alpha),
                 )
-        return codes.tolist()
+        return codes
 
 
 # --------------------------------------------------------------------------
@@ -455,23 +468,18 @@ def _prune_by_neighbors(
 def _possible_d_sep(g: _Graph, x: str) -> set[str]:
     """Vertices reachable from x along paths whose interior vertices are each
     either a collider on the path or part of an adjacent (shielded) triple."""
+    adj, marks = g.adj, g.marks
     reached: set[str] = set()
-    seen: set[tuple[str, str]] = set()
-    frontier: deque[tuple[str, str]] = deque()
-    for w in g.neighbors(x):
-        seen.add((x, w))
-        frontier.append((x, w))
+    seen = {(x, w) for w in adj[x]}
+    frontier = deque(seen)
     while frontier:
         prev, cur = frontier.popleft()
         reached.add(cur)
-        for nxt in g.neighbors(cur):
+        for nxt in adj[cur]:
             if nxt == prev or nxt == x or (cur, nxt) in seen:
                 continue
-            collider = (
-                g.mark_at(prev, cur) == Mark.ARROW
-                and g.mark_at(nxt, cur) == Mark.ARROW
-            )
-            if collider or g.has_edge(prev, nxt):
+            collider = marks[prev, cur] is Mark.ARROW and marks[nxt, cur] is Mark.ARROW
+            if collider or nxt in adj[prev]:
                 seen.add((cur, nxt))
                 frontier.append((cur, nxt))
     reached.discard(x)
@@ -501,18 +509,32 @@ def _pdsep_prune(
 ) -> bool:
     """Retest every surviving edge against possible-d-sep subsets: those of
     u's possible-d-sep set, then v's, each by growing size, one stack per
-    size; v's set is found only once u's subsets fail. A set already tried
-    for the edge is a cache hit the second time."""
+    size; v's set is found only once u's subsets fail, and its stacks skip
+    the sets inside u's, which were all tried without separating the pair.
+    A root's possible-d-sep set is kept until an edge is removed."""
     index, names = tester.index, tester.names
+    reach: dict[str, np.ndarray] = {}
+
+    def blocks(x: int, y: int) -> Iterator[np.ndarray]:
+        tried = np.zeros(len(names), dtype=bool)
+        for root in (names[x], names[y]):
+            if root not in reach:
+                reach[root] = np.array(sorted(map(index.get, _possible_d_sep(g, root))), np.intp)
+            pool = reach[root][(reach[root] != x) & (reach[root] != y)]
+            for size in range(1, min(max_cond_size, pool.shape[0]) + 1):
+                combos = _combos(pool.shape[0], size)
+                if tried.any():
+                    combos = combos[~tried[pool][combos].all(axis=1)]
+                if combos.shape[0]:
+                    yield pool[combos]
+            tried[pool] = True
+
     removed_any = False
     for u, v in g.sorted_edges():
-        pools = (np.array(sorted(index[w] for w in _possible_d_sep(g, root) - {u, v}),
-                          dtype=np.intp) for root in (u, v))
-        blocks = (pool[_combos(pool.shape[0], size)] for pool in pools
-                  for size in range(1, min(max_cond_size, pool.shape[0]) + 1))
-        separator = _first_separator(tester, index[u], index[v], blocks)
+        separator = _first_separator(tester, index[u], index[v], blocks(index[u], index[v]))
         if separator is not None:
             g.remove_edge(u, v)
+            reach.clear()
             sepsets[frozenset((u, v))] = frozenset(names[i] for i in separator)
             removed_any = True
     return removed_any
@@ -541,10 +563,8 @@ def _orient_colliders(
     for b in g.nodes:
         nb = g.neighbors(b)
         for a, c in itertools.combinations(nb, 2):
-            if g.has_edge(a, c):
-                continue
             pair = frozenset((a, c))
-            if pair not in sepsets:
+            if g.has_edge(a, c) or pair not in sepsets:
                 continue
             if b not in sepsets[pair]:
                 g.set_mark(a, b, Mark.ARROW, "collider")
@@ -622,9 +642,7 @@ over a marked search graph."""
                 if g.mark_at(a, b) != Mark.ARROW:
                     continue
                 for c in g.neighbors(b):
-                    if c == a or g.has_edge(a, c):
-                        continue
-                    if g.mark_at(c, b) != Mark.CIRCLE:
+                    if c == a or g.has_edge(a, c) or g.mark_at(c, b) != Mark.CIRCLE:
                         continue
                     changed = g.set_mark(c, b, Mark.TAIL, "R1") or changed
                     changed = g.set_mark(b, c, Mark.ARROW, "R1") or changed
@@ -637,9 +655,7 @@ over a marked search graph."""
         for b in g.nodes:
             for a in g.neighbors(b):
                 for c in g.neighbors(b):
-                    if c == a or not g.has_edge(a, c):
-                        continue
-                    if g.mark_at(a, c) != Mark.CIRCLE:
+                    if c == a or not g.has_edge(a, c) or g.mark_at(a, c) != Mark.CIRCLE:
                         continue
                     chain1 = self._is_directed(a, b) and g.mark_at(b, c) == Mark.ARROW
                     chain2 = g.mark_at(a, b) == Mark.ARROW and self._is_directed(b, c)
@@ -654,18 +670,12 @@ over a marked search graph."""
         for b in g.nodes:
             nb = g.neighbors(b)
             for a, c in itertools.combinations(nb, 2):
-                if g.has_edge(a, c):
-                    continue
-                if g.mark_at(a, b) != Mark.ARROW or g.mark_at(c, b) != Mark.ARROW:
+                if g.has_edge(a, c) or not g.mark_at(a, b) == g.mark_at(c, b) == Mark.ARROW:
                     continue
                 for d in g.neighbors(b):
-                    if d in (a, c):
+                    if d in (a, c) or not (g.has_edge(a, d) and g.has_edge(c, d)):
                         continue
-                    if not (g.has_edge(a, d) and g.has_edge(c, d)):
-                        continue
-                    if g.mark_at(a, d) != Mark.CIRCLE or g.mark_at(c, d) != Mark.CIRCLE:
-                        continue
-                    if g.mark_at(d, b) != Mark.CIRCLE:
+                    if not g.mark_at(a, d) == g.mark_at(c, d) == g.mark_at(d, b) == Mark.CIRCLE:
                         continue
                     changed = g.set_mark(d, b, Mark.ARROW, "R3") or changed
         return changed
@@ -741,9 +751,7 @@ over a marked search graph."""
         g = self.g
         for a, c in self._half_arrows():
             for b in g.neighbors(a):
-                if b == c or not g.has_edge(b, c):
-                    continue
-                if not self._is_directed(b, c):
+                if b == c or not self._is_directed(b, c):
                     continue
                 chain1 = self._is_directed(a, b)
                 chain2 = (
@@ -878,6 +886,8 @@ def fci(
     to ``max_cond_size``) and re-added if no separator survives. The search
     runs on one BLAS thread, and the previous count is restored on return.
     """
+    if ds.sample_count == 0:
+        raise EmptyDataset("no rows to learn a structure from")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}", alpha=alpha)
     if max_cond_size < 0:

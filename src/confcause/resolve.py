@@ -42,7 +42,20 @@ class Admg:
         for pair in self.bidirected:
             if not pair <= names:
                 raise UnknownVertex(f"edge endpoints not vertices: {sorted(pair)}")
-        self.topological_order()  # raises on a directed cycle
+        # the topological order, kept for topological_order(); a cycle fails here
+        sorter = TopologicalSorter({n: [] for n in self.vertex_names})
+        for u, v in sorted(self.directed):
+            sorter.add(v, u)
+        try:
+            sorter.prepare()
+        except CycleError as exc:
+            raise EngineError(f"directed part contains a cycle: {exc}") from exc
+        order: list[str] = []
+        while sorter.is_active():
+            ready = sorted(sorter.get_ready())
+            order.extend(ready)
+            sorter.done(*ready)
+        object.__setattr__(self, "_order", tuple(order))
 
     @property
     def vertex_names(self) -> tuple[str, ...]:
@@ -78,19 +91,7 @@ class Admg:
         return frozenset(seen)
 
     def topological_order(self) -> tuple[str, ...]:
-        sorter = TopologicalSorter({n: [] for n in self.vertex_names})
-        for u, v in sorted(self.directed):
-            sorter.add(v, u)
-        try:
-            order: list[str] = []
-            sorter.prepare()
-            while sorter.is_active():
-                ready = sorted(sorter.get_ready())
-                order.extend(ready)
-                sorter.done(*ready)
-            return tuple(order)
-        except CycleError as exc:
-            raise EngineError(f"directed part contains a cycle: {exc}") from exc
+        return self._order
 
     def to_json_dict(self) -> dict:
         return {

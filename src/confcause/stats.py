@@ -93,8 +93,7 @@ def partial_corrs_from_covs(covs: np.ndarray) -> np.ndarray:
             denom = np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
         r = np.where(denom == 0.0, 0.0, num / denom)
     # clamp to [-1, 1] the way min(1, max(-1, r)) does, NaN included
-    r = np.where(r > -1.0, r, -1.0)
-    r = np.where(r < 1.0, r, 1.0)
+    r = np.fmin(np.fmax(r, -1.0), 1.0)
     r[singular] = np.nan
     return r
 

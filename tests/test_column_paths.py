@@ -33,6 +33,8 @@ from confcause.dataset import (
     discretize,
     load_dataset,
 )
+from confcause.cbi import cbi_root_causes
+from confcause.discovery import build_constraints, fci
 from confcause.effects import _coded_column, ace_edge, cpwe, learn_model
 from confcause.errors import EmptyDataset
 from confcause.resolve import Admg
@@ -325,20 +327,37 @@ def test_ace_edge_matches_mask_loop_past_sixteen_bit_group_keys():
     assert ace_edge(ds, admg, "t", "y").value == _reference_ace(ds, admg, "t", "y", 5)
 
 
-@pytest.mark.parametrize("treatment", ["p", "t"])
-def test_ace_edge_on_no_rows_raises_empty_dataset(treatment):
+def _no_rows() -> Dataset:
+    """An option p, a metric t and an objective y, with no rows."""
     metas = (
         VariableMeta("p", Role.OPTION, Kind.DISCRETE),
         VariableMeta("t", Role.METRIC, Kind.CONTINUOUS),
         VariableMeta("y", Role.OBJECTIVE, Kind.CONTINUOUS),
     )
     columns = {"p": np.zeros(0, dtype=np.int64), "t": np.zeros(0), "y": np.zeros(0)}
-    ds = Dataset(metas, columns, 0)
-    admg = Admg(metas, frozenset({("p", "t"), ("t", "y")}), frozenset())
+    return Dataset(metas, columns, 0)
+
+
+@pytest.mark.parametrize("treatment", ["p", "t"])
+def test_ace_edge_on_no_rows_raises_empty_dataset(treatment):
+    ds = _no_rows()
+    admg = Admg(ds.variables, frozenset({("p", "t"), ("t", "y")}), frozenset())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EmptyDataset):
             ace_edge(ds, admg, treatment, "y")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ds: discretize(ds, 5),
+    lambda ds: cbi_root_causes(ds, np.zeros(0, dtype=bool)),
+    lambda ds: fci(ds, build_constraints(ds.variables)),
+], ids=["discretize", "cbi_root_causes", "fci"])
+def test_entries_on_no_rows_raise_empty_dataset(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDataset):
+            entry(_no_rows())
 
 
 def test_entropy_and_coupling_on_no_rows():

@@ -207,13 +207,28 @@ class _SequentialTester:
         return None
 
 
+# the reference's result per outcome code of the engine's cache
+_RESULTS = {0: False, 1: True, discovery._CONSTANT: True, discovery._UNTESTABLE: None}
+
+
+def _decode_key(key: int, base: int) -> list[int]:
+    """The query row an integer key encodes: its digits in ``base``, least
+    significant first, each one more than a column index."""
+    row = []
+    while key:
+        key, digit = divmod(key, base)
+        assert digit > 0  # a zero digit would make widths collide
+        row.append(digit - 1)
+    return row
+
+
 def _named_cache(engine) -> dict:
     """The engine's cache keyed like the reference's: (x, y, set) names."""
     names = engine.names
     view = {}
-    for key, result in engine._cache.items():
-        x, y, *cond = np.frombuffer(key, dtype=np.intp).tolist()
-        view[(names[x], names[y], tuple(names[i] for i in cond))] = result
+    for key, code in engine._cache.items():
+        x, y, *cond = _decode_key(key, len(names) + 1)
+        view[(names[x], names[y], tuple(names[i] for i in cond))] = _RESULTS[code]
     assert len(view) == len(engine._cache)
     return view
 
@@ -336,6 +351,27 @@ def test_engine_batches_and_repeats_within_a_call(monkeypatch):
     assert (engine.test_count, engine.untestable_count) == (
         ref.test_count, ref.untestable_count
     )
+
+
+def test_engine_keys_past_int64():
+    """Twenty columns and conditioning sets of 13: a row's key, 15 digits in
+    base 21, passes int64 and is computed as an exact integer; rows of
+    other widths share the cache with it."""
+    n, rng = 400, np.random.default_rng(3)
+    shared = rng.normal(size=n)  # a common cause of every third column
+    cols = {f"v{i:02d}": shared * (i % 3 == 0) + rng.normal(size=n) for i in range(20)}
+    metas = tuple(VariableMeta(name, Role.METRIC, Kind.CONTINUOUS) for name in cols)
+    ds = Dataset(metas, cols, n)
+    names = sorted(cols)
+    queries = []
+    for x, y in [("v00", "v03"), ("v01", "v02"), ("v03", "v09"), ("v04", "v05")] * 2:
+        pool = [v for v in names if v not in (x, y)]
+        subsets = [tuple(sorted(map(str, rng.choice(pool, size, replace=False))))
+                   for size in (13, 13, 13, 2, 2, 13)]
+        queries.append((x, y, subsets))
+    engine, hits = _check_against_reference(ds, queries)
+    assert max(engine._cache) > 2**63 > min(engine._cache)
+    assert None in hits and any(hit is not None for hit in hits)
 
 
 # --------------------------------------------------------------------------

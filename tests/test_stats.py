@@ -454,10 +454,10 @@ def _routes(tester, rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discovery, "_SCHUR_MIN_STACK", 1)
         before = tester.inverted_count
-        got = tester._evaluate(rows)
+        got = tester._evaluate(rows).tolist()
         inverted = tester.inverted_count - before
         mp.setattr(discovery, "_SCHUR_MIN_STACK", 1 << 62)
-        want = tester._evaluate(rows)
+        want = tester._evaluate(rows).tolist()
     return got, want, inverted
 
 
