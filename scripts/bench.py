@@ -1,21 +1,25 @@
 """Time the structure search on a fixed ladder of generated systems and the
 ``confcause bench`` study, and write the results as one JSON column.
 
-    python scripts/bench.py --out BENCH.json [--column NAME]
+    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_17.json]
 
 Each ladder rung is ``generate_scm(options, metrics, objectives, density,
 seed=0)`` sampled with ``sample(scm, rows)``. ``fci`` runs three times with
 its defaults; the rung records the fastest wall time, the four counts of the
-``structure search:`` log line, the adjacency F1 against the true graph and
-the learned edge count. The study is ``confcause bench`` with its defaults
-(``run_benchmark`` and ``transfer_series`` on seed 0), timed once, with the
-causal method's pooled precision, recall, F1 and false positives. When
-``--out`` already holds other columns, the new one is written next to them.
+``structure search:`` log line, the adjacency F1 against the true graph, the
+learned edge count and ``pag_sha256``, the SHA-256 of the PAG's sorted-keys
+JSON. The study is ``confcause bench`` with its defaults (``run_benchmark``
+and ``transfer_series`` on seed 0), timed once, with the causal method's
+pooled precision, recall, F1 and false positives. When ``--out`` already
+holds other columns, the new one is written next to them. ``--check FILE``
+exits 1 when a rung's ``pag_sha256`` or ``edges`` differs from FILE's
+``change`` column; times and counts are not compared.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -85,6 +89,9 @@ def rung(options: int, metrics: int, objectives: int, density: float, rows: int)
         **{name: int(value) for name, value in counts.groupdict().items() if name != "vertices"},
         "adj_f1": round(adjacency_f1(scm.graph.directed, pag.adjacencies()), 4),
         "true_edges": len(scm.graph.directed),
+        "pag_sha256": hashlib.sha256(
+            json.dumps(pag.to_json_dict(), sort_keys=True).encode()
+        ).hexdigest(),
     }
 
 
@@ -101,10 +108,23 @@ def study() -> dict:
     }
 
 
+def differences(ladder: dict, reference: Path) -> list[str]:
+    """The rungs whose PAG digest or edge count differ from the ``change``
+    column of ``reference``."""
+    want = json.loads(reference.read_text())["change"]["ladder"]
+    return [
+        f"{name}: {key} {want.get(name, {}).get(key)} -> {got[key]}"
+        for name, got in ladder.items() for key in ("pag_sha256", "edges")
+        if want.get(name, {}).get(key) != got[key]
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write the column to")
     parser.add_argument("--column", default="results", help="name of the column")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="exit 1 when a rung's PAG or edge count differs from FILE's")
     args = parser.parse_args(argv)
     column = {
         "environment": {
@@ -120,6 +140,11 @@ def main(argv: list[str] | None = None) -> int:
     columns[args.column] = column
     out.write_text(json.dumps(columns, indent=2, sort_keys=True) + "\n")
     print(json.dumps({args.column: column}, indent=2, sort_keys=True))
+    if args.check:
+        changed = differences(column["ladder"], args.check)
+        for line in changed:
+            print(f"differs from {args.check}: {line}", file=sys.stderr)
+        return 1 if changed else 0
     return 0
 
 

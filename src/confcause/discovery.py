@@ -255,8 +255,6 @@ _SCHUR_MIN_STACK = 64
 # then a constant column and an untestable query; 1 and 2 separate the pair
 _CONSTANT, _UNTESTABLE = 2, 3
 _SEPARATES = np.array([False, True, True, False])
-# a row is looked up in the cache only when a cached key shares its low 20 bits
-_SEEN_SLOTS = 1 << 20
 
 
 @functools.lru_cache(maxsize=256)
@@ -269,27 +267,18 @@ def _combos(n: int, k: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=64)
-def _key_weights(base: int, width: int) -> np.ndarray:
-    """Place values of a query's key: a row's indices + 1 are its digits in
-    ``base``, the column count + 1, so rows of different widths never share
-    a key. Keys that may pass int64 are exact Python integers (object dtype)."""
-    return np.array([base**j for j in range(width)],
-                    dtype=object if base**width > 2**63 else np.int64)
-
-
 class _FisherZTester:
     """Fisher-z tests against a covariance matrix computed once per dataset.
 
     Variables are numbered in sorted-name order (``names``, ``index``), and
     a query is a row of column indices: the pair x < y, then the
-    conditioning set in increasing order. Outcome codes are memoised per
-    row under an integer key (``_key_weights``), and ``_seen`` marks the low
-    bits of every cached key. ``test_count`` counts the cached tests that
-    produced a statistic, ``untestable_count`` the cached untestable queries
-    (singular submatrix or too few rows for the conditioning size), and
-    ``inverted_count`` the conditioned sets that the exact route decided
-    (see ``_evaluate``).
+    conditioning set in increasing order. The counts are those of a search
+    that tests one set at a time, in order, until one separates the pair:
+    ``test_count`` the tests that produced a statistic, ``untestable_count``
+    the untestable ones (singular submatrix or too few rows for the
+    conditioning size), and ``inverted_count`` the conditioned sets that the
+    exact route decided (see ``_evaluate``). A set tested again is counted
+    again.
     """
 
     def __init__(self, ds: Dataset, alpha: float) -> None:
@@ -303,18 +292,7 @@ class _FisherZTester:
             cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
         self._cov = cov[np.ix_(order, order)]
         self._constant = np.diagonal(self._cov) == 0.0
-        self._cache: dict[int, int] = {}
-        self._seen = np.zeros(_SEEN_SLOTS, dtype=bool)
-        self.inverted_count = 0
-
-    @property
-    def test_count(self) -> int:
-        codes = bytes(self._cache.values())
-        return len(codes) - codes.count(_CONSTANT) - codes.count(_UNTESTABLE)
-
-    @property
-    def untestable_count(self) -> int:
-        return bytes(self._cache.values()).count(_UNTESTABLE)
+        self.test_count = self.untestable_count = self.inverted_count = 0
 
     def first_separators(
         self, rows: np.ndarray, stops: Sequence[int]
@@ -323,44 +301,36 @@ class _FisherZTester:
         set, or None when none of its sets separates its pair.
 
         ``rows`` is a ``(B, k + 2)`` array of query rows, all of one
-        conditioning size; query j is ``rows[stops[j - 1]:stops[j]]``. Every
-        uncached set is evaluated first, in stacks. Then, exactly as one test
-        at a time would, each query's sets up to and including its first
-        separating one are cached, and the rest are dropped.
+        conditioning size; query j is ``rows[stops[j - 1]:stops[j]]``, and
+        the last stop is B. Every set is evaluated, in stacks; the counts
+        take each query's sets up to and including its first separating one.
         """
-        keys = (rows + 1) @ _key_weights(len(self.names) + 1, rows.shape[1])
-        slots = (keys & (_SEEN_SLOTS - 1)).astype(np.intp)
-        # cached codes, -1 when uncached, and a separating code past the last row
-        codes = np.full(keys.shape[0] + 1, -1)
-        codes[-1] = 1
-        maybe = self._seen[slots].nonzero()[0]
-        codes[maybe] = np.fromiter(
-            map(self._cache.get, keys[maybe].tolist(), itertools.repeat(-1)), np.intp, len(maybe)
-        )
-        fresh = (codes < 0).nonzero()[0]
-        if fresh.shape[0]:
-            codes[fresh] = self._evaluate(rows[fresh])
-        found = _SEPARATES[codes].nonzero()[0]
+        codes, exact = self._evaluate(rows)
+        # separating rows, and a sentinel past the last one
+        found = np.concatenate((_SEPARATES[codes], [True])).nonzero()[0]
         bounds = np.array([0, *stops], dtype=np.intp)
         count = found.searchsorted(bounds)  # separating sets before each bound
         hit = count[1:] > count[:-1]
         first = found[count[:-1]]  # each query's first separating set, or a later one
-        if fresh.shape[0]:
-            reached = fresh[fresh <= first[bounds[1:].searchsorted(fresh, "right")]]
-            self._cache.update(zip(keys[reached].tolist(), codes[reached].tolist()))
-            self._seen[slots[reached]] = True
+        reached = np.arange(rows.shape[0]) <= first.repeat(bounds[1:] - bounds[:-1])
+        tally = np.bincount(codes[reached], minlength=4).tolist()
+        self.test_count += tally[0] + tally[1]
+        self.untestable_count += tally[_UNTESTABLE]
+        self.inverted_count += int(np.count_nonzero(exact & reached))
         return [at if ok else None for at, ok in zip(first.tolist(), hit.tolist())]
 
-    def _evaluate(self, rows: np.ndarray) -> np.ndarray:
-        """Outcome code per query row, ``_STACK_CAP`` rows at a time. In a
-        stack of ``_SCHUR_MIN_STACK`` or more conditioned sets, the Schur
-        kernel decides the sets whose cond(C) bound is below ``_SCREEN_LIMIT``
-        and whose |rho| is farther from the critical one than the band plus
-        both routes' forward error, so that the exact route (an inverse per
-        set) would decide them alike without the scalar test; it does the rest."""
+    def _evaluate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome code per query row, ``_STACK_CAP`` rows at a time, and which
+        conditioned rows the exact route (an inverse per set) decided. In a stack
+        of ``_SCHUR_MIN_STACK`` or more conditioned sets, the Schur kernel decides
+        the sets whose cond(C) bound is below ``_SCREEN_LIMIT`` and whose |rho| is
+        farther from the critical one than the band plus both routes' forward
+        error, so that the exact route would decide them alike without the
+        scalar test; it does the rest."""
         k = rows.shape[1] - 2
+        exact = np.zeros(rows.shape[0], dtype=bool)
         if self.n <= k + 3:
-            return np.full(rows.shape[0], _UNTESTABLE)
+            return np.full(rows.shape[0], _UNTESTABLE), exact
         # constant columns carry no dependence
         live = np.flatnonzero(~(self._constant[rows[:, 0]] | self._constant[rows[:, 1]]))
         codes = np.full(rows.shape[0], _CONSTANT)
@@ -375,7 +345,7 @@ class _FisherZTester:
                 sure = (bound > 0.0) & (bound < _SCREEN_LIMIT) & (np.abs(mag - crit) > margin)
                 codes[part[sure]] = mag[sure] < crit
                 part = part[~sure]
-            self.inverted_count += part.shape[0] if k else 0
+            exact[part] = k > 0
             if part.shape[0]:
                 idx = rows[part]
                 rhos = partial_corrs_from_covs(self._cov[idx[:, :, None], idx[:, None, :]])
@@ -383,7 +353,7 @@ class _FisherZTester:
                     np.isnan(rhos), _UNTESTABLE,
                     _fisher_z_independent(rhos, self.n, k, self.alpha),
                 )
-        return codes
+        return codes, exact
 
 
 # --------------------------------------------------------------------------

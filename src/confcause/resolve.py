@@ -36,15 +36,20 @@ class Admg:
 
     def __post_init__(self) -> None:
         names = set(self.vertex_names)
+        parents: dict[str, list[str]] = {n: [] for n in self.vertex_names}
+        spouses: dict[str, set[str]] = {n: set() for n in self.vertex_names}
         for u, v in self.directed:
             if u not in names or v not in names:
                 raise UnknownVertex(f"edge endpoint not a vertex: {u}->{v}")
         for pair in self.bidirected:
             if not pair <= names:
                 raise UnknownVertex(f"edge endpoints not vertices: {sorted(pair)}")
-        # the topological order, kept for topological_order(); a cycle fails here
+            for v in pair:
+                spouses[v] |= pair - {v}
+        # parents and the topological order, kept for their accessors; a cycle fails here
         sorter = TopologicalSorter({n: [] for n in self.vertex_names})
         for u, v in sorted(self.directed):
+            parents[v].append(u)
             sorter.add(v, u)
         try:
             sorter.prepare()
@@ -56,6 +61,8 @@ class Admg:
             order.extend(ready)
             sorter.done(*ready)
         object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_parents", {n: tuple(ps) for n, ps in parents.items()})
+        object.__setattr__(self, "_spouses", {n: tuple(sorted(s)) for n, s in spouses.items()})
 
     @property
     def vertex_names(self) -> tuple[str, ...]:
@@ -68,15 +75,11 @@ class Admg:
         raise UnknownVertex(f"no such vertex: {name}", vertex=name)
 
     def parents(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(u for u, w in self.directed if w == v))
+        return self._parents.get(v, ())
 
     def spouses(self, v: str) -> tuple[str, ...]:
         """Vertices joined to v by a bidirected edge."""
-        out = set()
-        for pair in self.bidirected:
-            if v in pair:
-                out.update(pair - {v})
-        return tuple(sorted(out))
+        return self._spouses.get(v, ())
 
     def ancestors(self, v: str) -> frozenset[str]:
         """Strict ancestors of v along directed edges."""

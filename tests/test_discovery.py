@@ -389,14 +389,16 @@ def _first_separator(tester, x, y, subsets):
     return hit
 
 
-def test_untestable_queries_counted_once():
+def test_queries_counted_once_per_reached_set():
     ds = _copied_metric(sample(chain_system(seed=3), 2000), "m", "m2")
     tester = _FisherZTester(ds, 0.05)
     assert _first_separator(tester, "o", "y", [("m", "m2")]) is None
     assert _first_separator(tester, "o", "y", [("m",)]) == 0
     assert (tester.test_count, tester.untestable_count) == (1, 1)
-    assert _first_separator(tester, "o", "y", [("m", "m2")]) is None  # cached
-    assert (tester.test_count, tester.untestable_count) == (1, 1)
+    assert _first_separator(tester, "o", "y", [("m", "m2")]) is None  # tested again
+    assert (tester.test_count, tester.untestable_count) == (1, 2)
+    assert _first_separator(tester, "o", "y", [("m",), ("m2",)]) == 0  # m2 not reached
+    assert (tester.test_count, tester.untestable_count) == (2, 2)
 
     flat = Dataset(
         (*ds.variables, _meta("k", Role.METRIC)),

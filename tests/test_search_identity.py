@@ -48,11 +48,11 @@ def _ci_tests(caplog) -> int:
     "args, kwargs, rows, digest, tests",
     [
         ((3, 6, 1, 0.3), {}, 400,
-         "1ec9ca6c2f8bbacc078245701b568b07c768a1c26bd8df83bdb4b9c9dcaa32e6", 112),
+         "1ec9ca6c2f8bbacc078245701b568b07c768a1c26bd8df83bdb4b9c9dcaa32e6", 130),
         ((6, 12, 2, 0.3), {"n_latents": 1}, 3000,
-         "b397c6dbde36d20d151567c499a29d119c803119cddc7d4e8ccb29b2c8c844a7", 15902),
+         "b397c6dbde36d20d151567c499a29d119c803119cddc7d4e8ccb29b2c8c844a7", 17393),
         ((8, 24, 2, 0.15), {}, 2000,
-         "ee1b314dc858c1b023f92e255ae239dc2f2de202f10a6d169ce66205dac97da5", 51010),
+         "ee1b314dc858c1b023f92e255ae239dc2f2de202f10a6d169ce66205dac97da5", 52874),
     ],
     ids=["small", "latent", "wide"],
 )
@@ -75,13 +75,13 @@ def test_warm_start_updates_pinned(caplog):
     assert _digest(admg.to_json_dict()) == (
         "11bd23ca59e27962ed273b14c396f99642c11b04b7038002e1725e2fe77c0730"
     )
-    assert _ci_tests(caplog) == 5694
+    assert _ci_tests(caplog) == 6174
     batch = _rows(sample(generate_scm(6, 12, 2, 0.3, seed=3), 4000), 3000, 4000)
     admg = update_model(admg, ds, batch)
     assert _digest(admg.to_json_dict()) == (
         "5aaf7b542b7f7e56f27f6f8d569164a5dd804dc54d9c76dbfea13f7e9fd52ed7"
     )
-    assert _ci_tests(caplog) == 8924
+    assert _ci_tests(caplog) == 9791
 
 
 def test_diagnoses_pinned():
@@ -158,8 +158,8 @@ def _reference_rho(cov: np.ndarray) -> float | None:
 
 class _SequentialTester:
     """The reference engine: one Fisher-z test at a time on submatrices of
-    ``np.cov`` in the dataset's own column order, memoised per
-    (x, y, conditioning names)."""
+    ``np.cov`` in the dataset's own column order, each set tested and
+    counted every time a query reaches it."""
 
     def __init__(self, ds: Dataset, alpha: float) -> None:
         self.alpha = float(alpha)
@@ -168,7 +168,6 @@ class _SequentialTester:
         self.index = {name: i for i, name in enumerate(self.names)}
         self._position = {name: i for i, name in enumerate(ds.names)}
         self._cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
-        self.cache: dict = {}
         self.test_count = 0
         self.untestable_count = 0
         self.inverted_count = 0
@@ -196,41 +195,16 @@ class _SequentialTester:
         if y < x:
             x, y = y, x
         for i, cond in enumerate(subsets):
-            key = (x, y, cond)
-            if key not in self.cache:
-                result, counted = self._test(x, y, cond)
-                self.cache[key] = result
-                self.test_count += counted
-                self.untestable_count += result is None
-            if self.cache[key] is True:
+            result, counted = self._test(x, y, cond)
+            self.test_count += counted
+            self.untestable_count += result is None
+            if result is True:
                 return i
         return None
 
 
-# the reference's result per outcome code of the engine's cache
-_RESULTS = {0: False, 1: True, discovery._CONSTANT: True, discovery._UNTESTABLE: None}
-
-
-def _decode_key(key: int, base: int) -> list[int]:
-    """The query row an integer key encodes: its digits in ``base``, least
-    significant first, each one more than a column index."""
-    row = []
-    while key:
-        key, digit = divmod(key, base)
-        assert digit > 0  # a zero digit would make widths collide
-        row.append(digit - 1)
-    return row
-
-
-def _named_cache(engine) -> dict:
-    """The engine's cache keyed like the reference's: (x, y, set) names."""
-    names = engine.names
-    view = {}
-    for key, code in engine._cache.items():
-        x, y, *cond = _decode_key(key, len(names) + 1)
-        view[(names[x], names[y], tuple(names[i] for i in cond))] = _RESULTS[code]
-    assert len(view) == len(engine._cache)
-    return view
+def _counts(tester) -> tuple[int, int, int]:
+    return tester.test_count, tester.untestable_count, tester.inverted_count
 
 
 def _engine_first_independent(engine, x, y, subsets):
@@ -253,16 +227,14 @@ def _engine_first_independent(engine, x, y, subsets):
 
 def _check_against_reference(ds, queries):
     """Run the same queries through the engine and through the sequential
-    reference; indices, cache and counts must agree after each query."""
+    reference; indices and counts must agree after each query."""
     engine = _FisherZTester(ds, 0.05)
     ref = _SequentialTester(ds, 0.05)
     hits = []
     for x, y, subsets in queries:
         got = _engine_first_independent(engine, x, y, subsets)
         assert got == ref.first_independent(x, y, subsets), (x, y, subsets)
-        assert _named_cache(engine) == ref.cache
-        assert engine.test_count == ref.test_count
-        assert engine.untestable_count == ref.untestable_count
+        assert _counts(engine) == _counts(ref)
         hits.append(got)
     return engine, hits
 
@@ -290,15 +262,14 @@ def test_engine_hit_positions_and_untestable_sets():
         ("b", "a", [("e",), ("f",), ("e", "f"), singular, ("g",), ("c",)]),  # hit last
         ("a", "b", [("e", "g"), ("f", "g"), singular, ("c", "e")]),
         ("a", "e", [()]),                                          # a and e are independent
-        ("a", "b", [("g",), ("e", "f"), ("f",), ("e",)]),          # all cached, no hit
-        ("b", "a", [("e",), ("g",), ("e", "f", "g"), ("c", "e", "f")]),  # cached prefix
+        ("a", "b", [("g",), ("e", "f"), ("f",), ("e",)]),          # all tested before, no hit
+        ("b", "a", [("e",), ("g",), ("e", "f", "g"), ("c", "e", "f")]),  # prefix tested before
         ("a", "k", [("c",), ("e",)]),                              # constant column
         ("a", "b", [()]),
     ]
     engine, hits = _check_against_reference(ds, queries)
     assert hits == [0, 5, 3, 0, None, 3, 0, None]
-    assert _named_cache(engine)[("a", "b", singular)] is None
-    assert _named_cache(engine)[("a", "k", ("c",))] is True
+    assert engine.untestable_count == 2  # the singular set, reached twice
 
 
 def test_engine_too_few_rows_for_the_conditioning_size():
@@ -306,7 +277,7 @@ def test_engine_too_few_rows_for_the_conditioning_size():
     engine, hits = _check_against_reference(
         ds, [("a", "b", [("c", "e", "f"), ("c", "e"), ("c",)])]
     )
-    assert _named_cache(engine)[("a", "b", ("c", "e", "f"))] is None
+    assert engine.untestable_count == 1  # six rows cannot condition on three
 
 
 def test_engine_matches_reference_on_random_queries():
@@ -327,8 +298,8 @@ def test_engine_matches_reference_on_random_queries():
 
 def test_engine_batches_and_repeats_within_a_call(monkeypatch):
     """Several queries in one call, a set repeated within a query, and
-    stacks smaller than a query: the replay still matches one test at a
-    time, and a repeated set is tested and counted once."""
+    stacks smaller than a query: the hits still match one test at a time,
+    and a repeated set is counted each time it is reached."""
     monkeypatch.setattr(discovery, "_STACK_CAP", 3)
     ds = _engine_dataset(400, seed=2)
     engine, ref = _FisherZTester(ds, 0.05), _SequentialTester(ds, 0.05)
@@ -347,16 +318,57 @@ def test_engine_batches_and_repeats_within_a_call(monkeypatch):
     want = [ref.first_independent(x, y, subsets) for x, y, subsets in queries]
     assert [None if h is None else h - s for h, s in zip(hits, starts)] == want
     assert want[0] == 4 and want[1] == 0
-    assert _named_cache(engine) == ref.cache
-    assert (engine.test_count, engine.untestable_count) == (
-        ref.test_count, ref.untestable_count
-    )
+    assert _counts(engine) == _counts(ref)
+
+
+def test_engine_hits_and_counts_do_not_depend_on_the_call(monkeypatch):
+    """Every query alone, four to a stack too small for the Schur kernel,
+    and all in one batch that the kernel takes: each query has the same
+    first separator, and the counts of tests add up the same. So the engine
+    may evaluate every set it is offered, in any company, and still count
+    like one test at a time."""
+    ds = _engine_dataset(500, seed=4)
+    names = sorted(ds.names)
+    kernel, schur_stacks = discovery._schur_partial_corrs, []
+
+    def schur(cov, rows):
+        schur_stacks.append(rows.shape[0])
+        return kernel(cov, rows)
+
+    monkeypatch.setattr(discovery, "_schur_partial_corrs", schur)
+    index = _FisherZTester(ds, 0.05).index
+    queries = [
+        np.array([[index[v] for v in (x, y, *cond)]
+                  for cond in itertools.combinations(sorted(set(names) - {x, y}), 2)])
+        for x, y in itertools.combinations(names, 2)
+    ]
+
+    def run(group):
+        """Hits relative to each query's start, and the counts, of one call."""
+        engine = _FisherZTester(ds, 0.05)
+        stops = np.cumsum([len(q) for q in group]).tolist()
+        hits = engine.first_separators(np.concatenate(group), stops)
+        starts = [0, *stops[:-1]]
+        return [None if h is None else h - s for h, s in zip(hits, starts)], _counts(engine)
+
+    alone = [run([q]) for q in queries]
+    hits = [h for [h], _ in alone]
+    total = np.sum([c for _, c in alone], axis=0).tolist()
+    assert None in hits and any(h for h in hits) and total[1] > 0
+    assert 4 * len(queries[0]) < discovery._SCHUR_MIN_STACK and not schur_stacks
+    fours = [run(queries[at:at + 4]) for at in range(0, len(queries), 4)]
+    assert sum((h for h, _ in fours), []) == hits
+    assert np.sum([c for _, c in fours], axis=0).tolist() == total
+    assert not schur_stacks
+    batch_hits, counts = run(queries)
+    assert schur_stacks == [315]  # of 420 rows; the 105 with the constant k are not live
+    assert batch_hits == hits
+    assert counts[:2] == tuple(total[:2]) and counts[2] < total[2]
 
 
 def test_engine_keys_past_int64():
-    """Twenty columns and conditioning sets of 13: a row's key, 15 digits in
-    base 21, passes int64 and is computed as an exact integer; rows of
-    other widths share the cache with it."""
+    """Twenty columns and conditioning sets of 13, between sets of 2: rows
+    that no 64-bit integer in base 21 could encode, tested like the rest."""
     n, rng = 400, np.random.default_rng(3)
     shared = rng.normal(size=n)  # a common cause of every third column
     cols = {f"v{i:02d}": shared * (i % 3 == 0) + rng.normal(size=n) for i in range(20)}
@@ -370,7 +382,6 @@ def test_engine_keys_past_int64():
                    for size in (13, 13, 13, 2, 2, 13)]
         queries.append((x, y, subsets))
     engine, hits = _check_against_reference(ds, queries)
-    assert max(engine._cache) > 2**63 > min(engine._cache)
     assert None in hits and any(hit is not None for hit in hits)
 
 
@@ -513,14 +524,19 @@ def _search(ds, max_cond_size, sequential, warm=None, warm_sepsets=None):
 
 
 def _assert_same_search(ds, max_cond_size, warm=None, warm_sepsets=None):
-    got, engine = _search(ds, max_cond_size, False, warm, warm_sepsets)
+    """The engine's search with the Schur kernel, then on the exact route
+    alone, against the sequential search: the same PAG, sepsets and counts
+    of tests; on the exact route, which inverts every conditioned set as the
+    reference does, the same count of sets inverted too."""
     want, ref = _search(ds, max_cond_size, True, warm, warm_sepsets)
-    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
-    assert got.sepsets == want.sepsets
-    assert (engine.test_count, engine.untestable_count) == (
-        ref.test_count, ref.untestable_count
-    )
-    assert _named_cache(engine) == ref.cache
+    for min_stack in (discovery._SCHUR_MIN_STACK, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discovery, "_SCHUR_MIN_STACK", min_stack)
+            got, engine = _search(ds, max_cond_size, False, warm, warm_sepsets)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert got.sepsets == want.sepsets
+        assert _counts(engine)[:2] == _counts(ref)[:2]
+    assert _counts(engine) == _counts(ref)
     return got
 
 
