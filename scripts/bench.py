@@ -1,7 +1,7 @@
 """Time the structure search on a fixed ladder of generated systems and the
 ``confcause bench`` study, and write the results as one JSON column.
 
-    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_17.json]
+    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_18.json]
 
 Each ladder rung is ``generate_scm(options, metrics, objectives, density,
 seed=0)`` sampled with ``sample(scm, rows)``. ``fci`` runs three times with
@@ -35,7 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from confcause import __version__  # noqa: E402
-from confcause.discovery import build_constraints, fci  # noqa: E402
+from confcause.discovery import fci  # noqa: E402
 from confcause.synthbench import generate_scm, run_benchmark, sample, transfer_series  # noqa: E402
 
 # name: (options, metrics, objectives, density, rows)
@@ -70,7 +70,6 @@ def adjacency_f1(true_directed, learned) -> float:
 def rung(options: int, metrics: int, objectives: int, density: float, rows: int) -> dict:
     scm = generate_scm(options, metrics, objectives, density, seed=0)
     ds = sample(scm, rows)
-    sc = build_constraints(ds.variables)
     handler, logger = _LastMessage(), logging.getLogger("confcause.discovery")
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
@@ -78,7 +77,7 @@ def rung(options: int, metrics: int, objectives: int, density: float, rows: int)
     try:
         for _ in range(REPEATS):
             start = time.perf_counter()
-            pag = fci(ds, sc)
+            pag = fci(ds)
             times.append(time.perf_counter() - start)
     finally:
         logger.removeHandler(handler)

@@ -68,7 +68,8 @@ class PagEdge:
 
 @dataclass(frozen=True)
 class Pag:
-    """Partial ancestral graph plus the separating sets found during search."""
+    """Partial ancestral graph plus the separating sets found during search
+    and, once each, the marks that the final orientation refused to change."""
 
     vertices: tuple[VariableMeta, ...]
     edges: tuple[PagEdge, ...]
@@ -192,11 +193,13 @@ class _Graph:
     so background knowledge always dominates statistical orientation.
     """
 
-    def __init__(self, nodes: Sequence[str]) -> None:
+    def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]] = ()) -> None:
         self.nodes = sorted(nodes)
         self.adj: dict[str, set[str]] = {n: set() for n in self.nodes}
         self.marks: dict[tuple[str, str], Mark] = {}
         self.conflicts: list[str] = []
+        for u, v in edges:
+            self.add_edge(u, v)
 
     def add_edge(self, u: str, v: str, mu: Mark = Mark.CIRCLE, mv: Mark = Mark.CIRCLE) -> None:
         self.adj[u].add(v)
@@ -771,12 +774,6 @@ def _orient(
     _RuleEngine(g, sepsets).run()
 
 
-def _reset_marks(g: _Graph) -> None:
-    for u, v in g.sorted_edges():
-        g.marks[(u, v)] = Mark.CIRCLE
-        g.marks[(v, u)] = Mark.CIRCLE
-
-
 # --------------------------------------------------------------------------
 # public entry point
 
@@ -841,14 +838,14 @@ def _one_blas_thread() -> Iterator[None]:
 @_one_blas_thread()
 def fci(
     ds: Dataset,
-    sc: StructuralConstraints,
     alpha: float = 0.05,
     max_cond_size: int = 3,
     *,
     warm_adjacencies: Iterable[frozenset[str]] | None = None,
     warm_sepsets: Mapping[frozenset[str], frozenset[str]] | None = None,
 ) -> Pag:
-    """Learn a partial ancestral graph from observational data.
+    """Learn a partial ancestral graph from observational data, with the
+    variables' roles as background knowledge.
 
     ``warm_adjacencies`` seeds the skeleton from a previous run instead of the
     complete graph; previously separated pairs are retested (at their recorded
@@ -866,6 +863,7 @@ def fci(
             max_cond_size=max_cond_size,
         )
     ds.require_role_coverage()
+    sc = build_constraints(ds.variables)
     # a finite variance bounds every covariance of the column (Cauchy-Schwarz)
     with np.errstate(over="ignore", invalid="ignore"):
         overflown = [n for n in sorted(ds.names) if not np.isfinite(np.var(ds.column(n)))]
@@ -893,16 +891,15 @@ def fci(
     _prune_by_neighbors(tester, adj, sepsets, max_cond_size)
 
     # possible-d-sep refinement needs a provisionally oriented graph
-    g = _Graph(names)
-    for x, y in zip(*np.nonzero(np.triu(adj, 1))):
-        g.add_edge(names[x], names[y])
+    g = _Graph(names, [(names[x], names[y]) for x, y in zip(*np.nonzero(np.triu(adj, 1)))])
     _apply_background(g, sc)
     _orient_colliders(g, sepsets)
     if _pdsep_prune(tester, g, sepsets, max_cond_size):
         logger.info("possible-d-sep pass removed edges; re-orienting")
 
-    # final orientation from a clean slate on the pruned skeleton
-    _reset_marks(g)
+    # final orientation on a fresh graph over the pruned skeleton: neither
+    # the provisional marks nor their refusals carry over
+    g = _Graph(names, g.sorted_edges())
     _orient(g, sc, sepsets)
 
     edges = tuple(
@@ -914,7 +911,7 @@ def fci(
         len(names), len(edges), tester.inverted_count, tester.untestable_count,
         tester.test_count,
     )
-    return Pag(ds.variables, edges, dict(sepsets), tuple(g.conflicts))
+    return Pag(ds.variables, edges, dict(sepsets), tuple(dict.fromkeys(g.conflicts)))
 
 
 def _retest_separated_pairs(

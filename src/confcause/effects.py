@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, Kind, Role, _equal_frequency_codes, discretize
-from .discovery import Pag, build_constraints, fci
+from .discovery import Pag, fci
 from .errors import (
     BadBinCount,
     EmptyDataset,
@@ -376,10 +376,9 @@ def diagnose(
 
 def learn_model(ds: Dataset, params: ModelParams = ModelParams()) -> tuple[Pag, Admg]:
     """Full structure pipeline: constraints from roles, discovery, resolution."""
-    sc = build_constraints(ds.variables)
-    pag = fci(ds, sc, alpha=params.alpha, max_cond_size=params.max_cond_size)
+    pag = fci(ds, alpha=params.alpha, max_cond_size=params.max_cond_size)
     ds_disc = discretize(ds, params.bins)
-    admg = resolve_edges(pag, ds_disc, theta_ratio=params.theta_ratio, sc=sc)
+    admg = resolve_edges(pag, ds_disc, theta_ratio=params.theta_ratio)
     return pag, admg
 
 
@@ -401,14 +400,13 @@ def update_model(
     if new_samples.sample_count == 0:
         return admg
     combined = old.concat(new_samples)
-    sc = build_constraints(combined.variables)
     warm = [frozenset((u, v)) for u, v in admg.directed] + list(admg.bidirected)
     pag = fci(
-        combined, sc,
+        combined,
         alpha=params.alpha,
         max_cond_size=params.max_cond_size,
         warm_adjacencies=warm,
         warm_sepsets=prev_sepsets,
     )
     ds_disc = discretize(combined, params.bins)
-    return resolve_edges(pag, ds_disc, theta_ratio=params.theta_ratio, sc=sc)
+    return resolve_edges(pag, ds_disc, theta_ratio=params.theta_ratio)

@@ -18,7 +18,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Mapping
 
 from .dataset import Dataset, Role, VariableMeta
-from .discovery import Mark, Pag, StructuralConstraints, _dot_nodes
+from .discovery import Mark, Pag, StructuralConstraints, _dot_nodes, build_constraints
 from .errors import EngineError, InputError, UnknownVertex
 from .stats import entropy, min_entropy_latent
 
@@ -133,7 +133,7 @@ def entropy_threshold(h_first: float, h_second: float, ratio: float = 0.8) -> fl
 class _Assembler:
     """Accumulates resolved edges, repairing constraint and cycle violations."""
 
-    def __init__(self, sc: StructuralConstraints | None) -> None:
+    def __init__(self, sc: StructuralConstraints) -> None:
         self.sc = sc
         self.directed: set[tuple[str, str]] = set()
         self.bidirected: set[frozenset[str]] = set()
@@ -153,9 +153,8 @@ class _Assembler:
         return False
 
     def _direction_ok(self, u: str, v: str) -> bool:
-        if self.sc is not None and not self.sc.allows_direction(u, v):
-            return False
-        return not self._reaches(v, u)  # adding u->v must not close a cycle
+        # the roles admit u->v, and adding it closes no cycle
+        return self.sc.allows_direction(u, v) and not self._reaches(v, u)
 
     def add_directed(self, u: str, v: str, origin: str) -> None:
         if self._direction_ok(u, v):
@@ -169,7 +168,7 @@ class _Assembler:
         self.add_bidirected(u, v, origin)
 
     def add_bidirected(self, u: str, v: str, origin: str) -> None:
-        if self.sc is not None and not self.sc.allows_bidirected(u, v):
+        if not self.sc.allows_bidirected(u, v):
             # an exogenous endpoint cannot be confounded; point away from it
             if self.sc.role(u) == Role.OPTION and self._direction_ok(u, v):
                 self.notes.append(f"{origin}: bidirected {u}-{v} redirected as {u}->{v}")
@@ -188,10 +187,10 @@ def resolve_edges(
     pag: Pag,
     ds: Dataset,
     theta_ratio: float = 0.8,
-    sc: StructuralConstraints | None = None,
 ) -> Admg:
     """Resolve every undecided edge of ``pag`` into a directed or bidirected
-    edge using entropies computed on ``ds`` (which must be fully discrete).
+    edge using entropies computed on ``ds`` (which must be fully discrete),
+    under the role constraints of ``pag.vertices``.
 
     Decided marks are copied verbatim. For each edge with a circle end, the
     minimum latent entropy H(Z) that could explain the pair as confounding is
@@ -204,7 +203,7 @@ def resolve_edges(
         raise InputError(
             f"theta_ratio must be positive, got {theta_ratio}", theta_ratio=theta_ratio
         )
-    asm = _Assembler(sc)
+    asm = _Assembler(build_constraints(pag.vertices))
     marginal: dict[str, float] = {}
 
     def h(name: str) -> float:
@@ -232,7 +231,7 @@ def resolve_edges(
 
     for u, v in undecided:
         h_u, h_v = h(u), h(v)
-        latent_bits, _ = min_entropy_latent(ds, u, v)
+        latent_bits = min_entropy_latent(ds, u, v)
         threshold = entropy_threshold(h_u, h_v, theta_ratio)
         if latent_bits < threshold:
             asm.add_bidirected(u, v, "entropy")

@@ -369,43 +369,24 @@ def greedy_coupling(rows: Sequence[np.ndarray]) -> list[tuple[tuple[int, ...], f
     return atoms
 
 
-def min_entropy_latent(
-    ds: Dataset, x: str, y: str
-) -> tuple[float, dict[tuple[int, int, int], float]]:
+def min_entropy_latent(ds: Dataset, x: str, y: str) -> float:
     """Entropy (bits) of the smallest latent variable that can explain the
-    observed x-y dependence as pure confounding, with the realized joint
-    distribution over (x value, y value, latent index).
-
-    A degenerate marginal (constant column) needs no latent: returns 0 and
-    the observed joint under a single latent state, which is a point mass
-    when both columns are constant.
+    observed x-y dependence as pure confounding. A degenerate marginal
+    (constant column) needs no latent: returns 0.
     """
     mat = _require_discrete(ds, [x, y])
     xs, x_codes = _levels(mat[:, 0])
     ys, y_codes = _levels(mat[:, 1])
-    counts = np.bincount(
-        x_codes * ys.shape[0] + y_codes, minlength=xs.shape[0] * ys.shape[0]
-    ).reshape(xs.shape[0], ys.shape[0])
     if xs.shape[0] < 2 or ys.shape[0] < 2:
         logger.info("degenerate joint for (%s, %s); latent entropy is 0", x, y)
-        joint = {
-            (int(xs[i]), int(ys[j]), 0): float(counts[i, j] / mat.shape[0])
-            for i, j in zip(*np.nonzero(counts))
-        }
-        return 0.0, joint
-
-    table = counts.astype(np.float64)
+        return 0.0
+    table = np.bincount(
+        x_codes * ys.shape[0] + y_codes, minlength=xs.shape[0] * ys.shape[0]
+    ).reshape(xs.shape[0], ys.shape[0]).astype(np.float64)
     table /= table.sum()
-
-    px = table.sum(axis=1)
-    rows = [table[i] / px[i] for i in range(xs.shape[0])]
-    atoms = greedy_coupling(rows)
+    atoms = greedy_coupling(table / table.sum(axis=1, keepdims=True))
 
     bits = 0.0
-    joint: dict[tuple[int, int, int], float] = {}
-    for z, (picks, mass) in enumerate(atoms):
+    for _, mass in atoms:
         bits -= mass * math.log2(mass)
-        for i, pick in enumerate(picks):
-            key = (int(xs[i]), int(ys[pick]), z)
-            joint[key] = joint.get(key, 0.0) + float(px[i] * mass)
-    return max(bits, 0.0), joint
+    return max(bits, 0.0)

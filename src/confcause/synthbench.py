@@ -49,10 +49,10 @@ _FAIL_RATE = 0.1  # share of failing runs that a boolean objective is cut at
 # model definition
 
 
-def _record_fields(cls: type, payload: Mapping, derived: Sequence[str] = ()) -> dict:
+def _record_fields(cls: type, payload: Mapping) -> dict:
     """The JSON fields of a ``cls`` record, lists as tuples. A key that is
-    not a field of ``cls``, or names a ``derived`` one, raises InputError."""
-    unknown = sorted(set(payload) - ({f.name for f in fields(cls)} - set(derived)))
+    not a field of ``cls`` raises InputError."""
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise InputError(f"unknown {cls.__name__} fields: {unknown}", fields=unknown)
     return {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
@@ -83,10 +83,6 @@ class Mechanism:
     def to_json_dict(self) -> dict:
         return _record_json(self)
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "Mechanism":
-        return cls(**_record_fields(cls, payload))
-
 
 @dataclass(frozen=True)
 class Scm:
@@ -116,21 +112,6 @@ class Scm:
             "hidden": list(self.hidden),
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "Scm":
-        _record_fields(cls, payload, derived=("graph",))
-        variables = tuple(map(VariableMeta.from_json_dict, payload["variables"]))
-        mechanisms = {
-            name: Mechanism.from_json_dict(m)
-            for name, m in payload["mechanisms"].items()
-        }
-        return scm_from_mechanisms(
-            variables,
-            mechanisms,
-            hidden=tuple(payload.get("hidden", ())),
-            seed=int(payload.get("seed", 0)),
-        )
 
 
 def scm_from_mechanisms(
@@ -711,13 +692,13 @@ def run_benchmark(
         options = list(ds.options)
         for entry in case.truth.faults:
             try:
-                care_diag = diagnose(ds, admg, entry.objective, top_k=top_k)
+                care_diag = diagnose(ds, admg, entry.objective, top_k=top_k, bins=params.bins)
             except NoPathsFound:
                 care_diag = Diagnosis(entry.objective, (), ())
             ace_vals = {}
             for o in options:
                 try:
-                    ace_vals[o] = ace_edge(ds, admg, o, entry.objective).value
+                    ace_vals[o] = ace_edge(ds, admg, o, entry.objective, bins=params.bins).value
                 except EngineError:
                     ace_vals[o] = 0.0
             labels = fault_labels_for(ds, entry.objective)
@@ -781,7 +762,7 @@ def transfer_series(seed: int = 0, params: ModelParams = ModelParams()) -> list[
     def current_rmse(data: Dataset, model: Admg) -> float:
         err = 0.0
         for o in base.options:
-            est = ace_edge(data, model, o, objective).value
+            est = ace_edge(data, model, o, objective, bins=params.bins).value
             err += (est - oracle[o]) ** 2
         return math.sqrt(err / len(base.options))
 

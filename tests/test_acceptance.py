@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 from confcause.cli import main as cli_main
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
-from confcause.discovery import Mark, build_constraints, fci
+from confcause.discovery import Mark, fci
 from confcause.effects import diagnose, learn_model
 from confcause.resolve import entropy_threshold, resolve_edges
 from confcause.stats import (
@@ -61,7 +61,7 @@ def test_1_structure_recovery():
     for seed in range(20):
         scm = generate_scm(3, 5, 2, 0.3, seed=seed, weight_range=(0.8, 1.4))
         ds = sample(scm, 10000)
-        pag = fci(ds, build_constraints(ds.variables), alpha=0.05)
+        pag = fci(ds, alpha=0.05)
         true_adj = {frozenset(e) for e in scm.graph.directed}
         pred_adj = pag.adjacencies()
         tp = len(true_adj & pred_adj)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confcause import discovery
@@ -94,7 +94,7 @@ def confounded_system(seed=0):
 
 def learn(scm, n=N, alpha=0.05):
     ds = sample(scm, n)
-    return fci(ds, build_constraints(ds.variables), alpha=alpha)
+    return fci(ds, alpha=alpha)
 
 
 def test_chain_orients_completely():
@@ -152,23 +152,21 @@ def test_same_seed_same_output():
 
 def test_column_order_irrelevant():
     ds = sample(collider_system(seed=5), 3000)
-    sc = build_constraints(ds.variables)
     shuffled = Dataset(
         tuple(reversed(ds.variables)),
         {name: ds.column(name) for name in reversed(ds.names)},
         ds.sample_count,
     )
-    a = fci(ds, sc)
-    b = fci(shuffled, build_constraints(shuffled.variables))
+    a = fci(ds)
+    b = fci(shuffled)
     assert a.edge_marks() == b.edge_marks()
 
 
 def test_warm_start_reaches_same_skeleton():
     ds = sample(collider_system(seed=11), 6000)
-    sc = build_constraints(ds.variables)
-    cold = fci(ds, sc)
+    cold = fci(ds)
     warm = fci(
-        ds, sc,
+        ds,
         warm_adjacencies=cold.adjacencies(),
         warm_sepsets=cold.sepsets,
     )
@@ -178,10 +176,9 @@ def test_warm_start_reaches_same_skeleton():
 
 def test_warm_start_readds_wrongly_missing_edge():
     ds = sample(chain_system(seed=2), 6000)
-    sc = build_constraints(ds.variables)
     # seed the skeleton with the m-y edge absent and a bogus separator
     warm = fci(
-        ds, sc,
+        ds,
         warm_adjacencies=[frozenset(("m", "o"))],
         warm_sepsets={frozenset(("m", "y")): frozenset()},
     )
@@ -190,10 +187,9 @@ def test_warm_start_readds_wrongly_missing_edge():
 
 def test_bad_alpha_rejected():
     ds = sample(chain_system(), 100)
-    sc = build_constraints(ds.variables)
     for alpha in (0.0, 1.0, -0.2):
         with pytest.raises(InputError):
-            fci(ds, sc, alpha=alpha)
+            fci(ds, alpha=alpha)
 
 
 def test_overflowing_column_rejected():
@@ -204,7 +200,7 @@ def test_overflowing_column_rejected():
     ds = Dataset((*ds.variables, huge), {**ds.columns, "m2": 1e200 * ds.column("m")},
                  ds.sample_count)
     with pytest.raises(InputError) as err:
-        fci(ds, build_constraints(ds.variables))
+        fci(ds)
     assert err.value.details == {"columns": ["m2"]}
 
 
@@ -220,7 +216,7 @@ def test_role_coverage_required():
         100,
     )
     with pytest.raises(MissingRole):
-        fci(ds, build_constraints(variables))
+        fci(ds)
 
 
 def _set_based_constraints(roles):
@@ -282,6 +278,24 @@ def test_learned_models_keep_the_role_constraints_and_are_acyclic(
     assert all(sc.allows_direction(u, v) for u, v in admg.directed)
     assert all(sc.allows_bidirected(*pair) for pair in admg.bidirected)
     assert sorted(admg.topological_order()) == sorted(roles)
+
+
+@settings(max_examples=15, deadline=None)
+@example(n_options=8, n_metrics=24, density=0.15, seed=0)
+@given(
+    n_options=st.integers(2, 8),
+    n_metrics=st.integers(4, 24),
+    density=st.sampled_from([0.15, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+def test_refusals_are_distinct_and_name_edges_of_the_pag(n_options, n_metrics, density, seed):
+    """Each refusal is reported once, and only from the final orientation:
+    none names an edge that the possible-d-sep pass removed."""
+    pag = fci(sample(generate_scm(n_options, n_metrics, 2, density, seed=seed), 2000))
+    assert len(set(pag.conflicts)) == len(pag.conflicts)
+    for refusal in pag.conflicts:
+        pair = frozenset(refusal.rsplit(" on edge ", 1)[1].split("-"))
+        assert pair in pag.adjacencies()
 
 
 def test_decided_marks_are_never_overwritten():
@@ -419,7 +433,7 @@ def test_queries_counted_once_per_reached_set():
 def test_search_log_names_untestable_queries(caplog):
     caplog.set_level(logging.INFO, logger="confcause.discovery")
     ds = _copied_metric(sample(collider_system(seed=4), 3000), "m3", "m4")
-    fci(ds, build_constraints(ds.variables))
+    fci(ds)
     message = [m for m in caplog.messages if m.startswith("structure search")][-1]
     match = re.fullmatch(
         r"structure search: .* (\d+) untestable queries, (\d+) CI tests", message
@@ -429,7 +443,7 @@ def test_search_log_names_untestable_queries(caplog):
 
 def _search_log(ds, caplog):
     """(sets inverted, untestable queries, CI tests) from the search log."""
-    fci(ds, build_constraints(ds.variables))
+    fci(ds)
     message = [m for m in caplog.messages if m.startswith("structure search")][-1]
     match = re.fullmatch(
         r"structure search: \d+ vertices, \d+ edges, (\d+) sets inverted, "
@@ -501,7 +515,7 @@ def test_search_runs_on_one_blas_thread(blas_at_two_threads, monkeypatch):
         assert get() == 1
     assert get() == 2
     ds = sample(collider_system(seed=4), 2000)
-    fci(ds, build_constraints(ds.variables))
+    fci(ds)
     assert seen and set(seen) == {1}
     assert get() == 2
 
@@ -520,7 +534,7 @@ def test_blas_thread_count_restored_when_the_search_raises(
     monkeypatch.setattr(discovery, "_blas_threads", lambda: (get, recording_put))
     ds = sample(chain_system(), 100)
     with pytest.raises(InputError):
-        fci(ds, build_constraints(ds.variables), **kwargs)
+        fci(ds, **kwargs)
     assert calls == [1, 2]
     assert get() == 2
 
@@ -555,12 +569,11 @@ def test_search_without_the_blas_library_gives_the_same_bytes(caplog, monkeypatc
     library, which leaves the threading as it is."""
     caplog.set_level(logging.INFO, logger="confcause.discovery")
     ds = sample(generate_scm(8, 24, 2, 0.15, seed=0), 5000)
-    sc = build_constraints(ds.variables)
     runs = []
     for api in (discovery._blas_threads, lambda: None):
         monkeypatch.setattr(discovery, "_blas_threads", api)
         caplog.clear()
-        pag = fci(ds, sc)
+        pag = fci(ds)
         [line] = [m for m in caplog.messages if m.startswith("structure search")]
         runs.append((json.dumps(pag.to_json_dict(), sort_keys=True), line))
     assert runs[0] == runs[1]

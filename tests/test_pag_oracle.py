@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from confcause import discovery
 from confcause.dataset import Dataset, Role
-from confcause.discovery import Mark, build_constraints, fci
+from confcause.discovery import Mark, fci
 from confcause.resolve import Admg
 from confcause.synthbench import generate_scm
 
@@ -91,8 +91,7 @@ def _oracle_pag(scm):
     # fci reads only the variables of its dataset when the tester is the oracle
     blank = Dataset(scm.variables, {v.name: np.zeros(1) for v in scm.variables}, 1)
     with mock.patch.object(discovery, "_FisherZTester", lambda ds, alpha: oracle):
-        pag = fci(blank, build_constraints(scm.variables),
-                  max_cond_size=len(scm.variables))
+        pag = fci(blank, max_cond_size=len(scm.variables))
     return pag, oracle
 
 

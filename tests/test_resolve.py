@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
-from confcause.discovery import Mark, Pag, PagEdge, build_constraints, fci
+from confcause.discovery import Mark, Pag, PagEdge, fci
 from confcause.errors import EngineError, InputError
 from confcause.resolve import Admg, entropy_threshold, resolve_edges
 from confcause.synthbench import sample
@@ -111,26 +111,24 @@ class TestCopyAndRepair:
 
     def test_forbidden_direction_flipped_with_note(self):
         ds = self._ds()
-        sc = build_constraints(ds.variables)
         # marks claim y1 -> m1, which roles forbid; the reverse is legal
         pag = Pag(
             ds.variables,
             (PagEdge("m1", "y1", Mark.ARROW, Mark.TAIL),),
             sepsets={},
         )
-        admg = resolve_edges(pag, ds, sc=sc)
+        admg = resolve_edges(pag, ds)
         assert ("m1", "y1") in admg.directed
         assert any("revers" in note for note in admg.notes)
 
     def test_bidirected_at_option_redirected_outward(self):
         ds = self._ds()
-        sc = build_constraints(ds.variables)
         pag = Pag(
             ds.variables,
             (PagEdge("m1", "o1", Mark.ARROW, Mark.ARROW),),
             sepsets={},
         )
-        admg = resolve_edges(pag, ds, sc=sc)
+        admg = resolve_edges(pag, ds)
         assert ("o1", "m1") in admg.directed
         assert not admg.bidirected
         assert admg.notes
@@ -176,10 +174,9 @@ def test_full_pipeline_leaves_no_ambiguity():
 
     scm = confounded_system(seed=4)
     ds = sample(scm, 8000)
-    sc = build_constraints(ds.variables)
-    pag = fci(ds, sc)
+    pag = fci(ds)
     binned = discretize(ds, 5)
-    admg = resolve_edges(pag, binned, sc=sc)
+    admg = resolve_edges(pag, binned)
     # every learned adjacency must end up either directed or bidirected
     resolved = {frozenset((u, v)) for u, v in admg.directed} | set(admg.bidirected)
     assert resolved == pag.adjacencies()

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from confcause import effects, synthbench
 from confcause.dataset import Kind, Role, VariableMeta
-from confcause.effects import Diagnosis
+from confcause.effects import Diagnosis, ModelParams, ace_edge
 from confcause.errors import (
     InputError,
     NoFaultyRows,
@@ -17,18 +18,19 @@ from confcause.synthbench import (
     FaultEntry,
     GroundTruth,
     Mechanism,
-    Scm,
     curate_ground_truth,
     evaluate,
     generate_scm,
     intervene,
     interventional_ace,
     make_fault_benchmark,
+    run_benchmark,
     sample,
     scale_edge,
     scm_from_mechanisms,
     total_linear_effect,
     transfer_scm,
+    transfer_series,
     with_seed,
 )
 
@@ -88,21 +90,6 @@ class TestConstruction:
         }
         with pytest.raises(UnknownVertex):
             scm_from_mechanisms(variables, mechanisms)
-
-    def test_json_roundtrip(self):
-        scm = generate_scm(3, 5, 2, 0.4, seed=5, n_latents=1, boolean_objectives=1)
-        again = Scm.from_json_dict(scm.to_json_dict())
-        assert again.graph.directed == scm.graph.directed
-        assert again.graph.bidirected == scm.graph.bidirected
-        assert again.mechanisms == scm.mechanisms
-        assert again.seed == scm.seed
-
-    def test_json_rejects_unknown_keys(self):
-        payload = generate_scm(2, 2, 1, 0.5, seed=3).to_json_dict()
-        with pytest.raises(InputError, match="intercept"):
-            Mechanism.from_json_dict({**payload["mechanisms"]["m01"], "intercept": 2.0})
-        with pytest.raises(InputError, match="hidden_scale"):
-            Scm.from_json_dict({**payload, "hidden_scale": 2.0})
 
     def test_scale_edge(self):
         scm = chain_scm(weight_om=2.0)
@@ -278,6 +265,12 @@ class TestCuration:
         again = GroundTruth.from_json_dict(truth.to_json_dict())
         assert again == truth
 
+    def test_truth_json_rejects_unknown_keys(self):
+        payload = GroundTruth((FaultEntry("y", "boolean_false", (0,), ("o",)),)).to_json_dict()
+        payload["faults"][0]["weight"] = 2.0
+        with pytest.raises(InputError, match="weight"):
+            GroundTruth.from_json_dict(payload)
+
     def test_unknown_objective_lookup(self):
         truth = GroundTruth((FaultEntry("y", "boolean_false", (0,), ("o",)),))
         with pytest.raises(ObjectiveMismatch):
@@ -351,6 +344,24 @@ class TestBenchmarkFixtures:
         assert shifted.mechanisms["y"].weights[idx] == pytest.approx(
             4.0 * base.mechanisms["y"].weights[idx]
         )
+
+    def test_bin_count_reaches_every_effect(self, monkeypatch):
+        """``bench --bins`` estimates each effect, in the diagnoses and in
+        the transfer series, with the model's bin count."""
+        seen = []
+
+        def recording(ds, admg, treatment, outcome, bins=5, **kwargs):
+            seen.append(bins)
+            return ace_edge(ds, admg, treatment, outcome, bins, **kwargs)
+
+        monkeypatch.setattr(effects, "ace_edge", recording)
+        monkeypatch.setattr(synthbench, "ace_edge", recording)
+        params = ModelParams(bins=7)
+        run_benchmark(n_scms=1, params=params)
+        assert seen and set(seen) == {7}
+        seen.clear()
+        transfer_series(params=params)
+        assert seen and set(seen) == {7}
 
     def test_tiered_variance_separation(self):
         scm = tiered_scm(seed=0)
