@@ -1,7 +1,7 @@
 """Time the structure search on a fixed ladder of generated systems and the
 ``confcause bench`` study, and write the results as one JSON column.
 
-    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_18.json]
+    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_19.json]
 
 Each ladder rung is ``generate_scm(options, metrics, objectives, density,
 seed=0)`` sampled with ``sample(scm, rows)``. ``fci`` runs three times with

@@ -343,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("CONFCAUSE_LOG_LEVEL", "WARNING"),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("CONFCAUSE_LOG_LEVEL", "WARNING")
+        if not isinstance(logging.getLevelName(level), int):  # known names map to numbers
+            raise InputError(f"CONFCAUSE_LOG_LEVEL {level!r} is not a level name, "
+                             "such as DEBUG, INFO or WARNING", level=level)
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except EngineError as err:
         print(json.dumps(err.to_json_dict(), sort_keys=True), file=sys.stderr)

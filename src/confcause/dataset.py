@@ -88,7 +88,9 @@ class Dataset:
         if len(set(names)) != len(names):
             raise DuplicateName("duplicate variable names", names=names)
         for v in self.variables:
-            col = self.columns[v.name]
+            col = self.columns.get(v.name)
+            if col is None:
+                raise UnknownVariable(f"no column for variable {v.name!r}", variable=v.name)
             if col.shape != (self.sample_count,):
                 raise InputError(
                     "column length mismatch", variable=v.name,
@@ -477,14 +479,16 @@ def _equal_frequency_edges(col: np.ndarray, k: int) -> list[float]:
     return edges
 
 
+def _check_bins(bins: int, **details: object) -> None:
+    if bins < 2:
+        raise BadBinCount(f"bin_count must be >= 2, got {bins}", bin_count=bins, **details)
+
+
 def _equal_frequency_codes(col: np.ndarray, bins: int, name: str) -> np.ndarray:
     """Integer codes of ``col`` in ``bins`` equal-frequency bins. Interior
     bins are right-closed: a value equal to an interior edge falls in the
     lower bin."""
-    if bins < 2:
-        raise BadBinCount(
-            f"bin_count must be >= 2, got {bins}", variable=name, bin_count=bins
-        )
+    _check_bins(bins, variable=name)
     codes = np.zeros(col.shape[0], dtype=np.int64)
     for edge in _equal_frequency_edges(col, bins)[1:-1]:
         codes += col > edge  # count the interior edges strictly below
@@ -495,6 +499,7 @@ def discretize(ds: Dataset, bins: int) -> Dataset:
     """Return a new dataset with every continuous column replaced by its
     codes in ``bins`` equal-frequency bins (kind becomes Discrete). The
     input dataset is never mutated."""
+    _check_bins(bins)
     if ds.sample_count == 0:
         raise EmptyDataset("no rows to discretize")
     if all(v.kind != Kind.CONTINUOUS for v in ds.variables):

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -186,22 +186,25 @@ def build_constraints(variables: Sequence[VariableMeta]) -> StructuralConstraint
 
 
 class _Graph:
-    """Working graph: adjacency sets plus an end mark per (edge, endpoint).
+    """Working graph: adjacency sets plus an end mark per (edge, endpoint),
+    built from ``(u, v, mark at u, mark at v)`` edges.
 
     ``mark_at(u, v)`` is the mark at v's end of edge u - v. Decided marks
     (tail/arrow) are write-once: attempts to overwrite are refused and logged,
     so background knowledge always dominates statistical orientation.
     """
 
-    def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]] = ()) -> None:
+    def __init__(
+        self, nodes: Sequence[str], edges: Iterable[tuple[str, str, Mark, Mark]] = ()
+    ) -> None:
         self.nodes = sorted(nodes)
         self.adj: dict[str, set[str]] = {n: set() for n in self.nodes}
         self.marks: dict[tuple[str, str], Mark] = {}
         self.conflicts: list[str] = []
-        for u, v in edges:
-            self.add_edge(u, v)
+        for edge in edges:
+            self.add_edge(*edge)
 
-    def add_edge(self, u: str, v: str, mu: Mark = Mark.CIRCLE, mv: Mark = Mark.CIRCLE) -> None:
+    def add_edge(self, u: str, v: str, mu: Mark, mv: Mark) -> None:
         self.adj[u].add(v)
         self.adj[v].add(u)
         self.marks[(v, u)] = mu  # mark at u's end
@@ -479,12 +482,13 @@ def _pdsep_prune(
     g: _Graph,
     sepsets: dict[frozenset[str], frozenset[str]],
     max_cond_size: int,
-) -> bool:
+) -> int:
     """Retest every surviving edge against possible-d-sep subsets: those of
     u's possible-d-sep set, then v's, each by growing size, one stack per
     size; v's set is found only once u's subsets fail, and its stacks skip
     the sets inside u's, which were all tried without separating the pair.
-    A root's possible-d-sep set is kept until an edge is removed."""
+    A root's possible-d-sep set is kept until an edge is removed. Returns
+    the number of edges removed."""
     index, names = tester.index, tester.names
     reach: dict[str, np.ndarray] = {}
 
@@ -502,28 +506,19 @@ def _pdsep_prune(
                     yield pool[combos]
             tried[pool] = True
 
-    removed_any = False
+    removed = 0
     for u, v in g.sorted_edges():
         separator = _first_separator(tester, index[u], index[v], blocks(index[u], index[v]))
         if separator is not None:
             g.remove_edge(u, v)
             reach.clear()
             sepsets[frozenset((u, v))] = frozenset(names[i] for i in separator)
-            removed_any = True
-    return removed_any
+            removed += 1
+    return removed
 
 
 # --------------------------------------------------------------------------
 # orientation
-
-
-def _apply_background(g: _Graph, sc: StructuralConstraints) -> None:
-    for u, v in g.sorted_edges():
-        mu, mv = sc.initial_marks(u, v)
-        if mu != Mark.CIRCLE:
-            g.set_mark(v, u, mu, "background")
-        if mv != Mark.CIRCLE:
-            g.set_mark(u, v, mv, "background")
 
 
 def _orient_colliders(
@@ -542,6 +537,21 @@ def _orient_colliders(
             if b not in sepsets[pair]:
                 g.set_mark(a, b, Mark.ARROW, "collider")
                 g.set_mark(c, b, Mark.ARROW, "collider")
+
+
+def _simple_paths(
+    path: list[str], steps: Callable[[list[str]], list[str] | None]
+) -> Iterator[list[str]]:
+    """Each complete simple path that extends ``path``, depth-first.
+    ``steps(path)`` is None when ``path`` is complete, else the vertices to
+    try next, in order; a vertex already on the path is skipped."""
+    after = steps(path)
+    if after is None:
+        yield path
+        return
+    for w in after:
+        if w not in path:
+            yield from _simple_paths(path + [w], steps)
 
 
 class _RuleEngine:
@@ -586,15 +596,14 @@ over a marked search graph."""
         target? Depth-first over simple paths, stopping at the first."""
         g = self.g
 
-        def extend(path: list[str]) -> bool:
+        def steps(path: list[str]) -> list[str] | None:
             tail = path[-1]
-            return tail == target or any(
-                extend(path + [w]) for w in g.neighbors(tail)
-                if w not in path and self._pd_step(tail, w)
-                and not g.has_edge(path[-2], w)  # covered triple
-            )
+            return None if tail == target else [
+                w for w in g.neighbors(tail)
+                if self._pd_step(tail, w) and not g.has_edge(path[-2], w)  # covered triple
+            ]
 
-        return self._pd_step(a, first) and extend([a, first])
+        return self._pd_step(a, first) and any(_simple_paths([a, first], steps))
 
     def _half_arrows(self) -> Iterator[tuple[str, str]]:
         """Each edge a o-> c as (a, c), its marks read as the walk reaches it."""
@@ -690,33 +699,23 @@ over a marked search graph."""
     def _find_discriminating(
         self, d: str, b: str, c: str, interior_pool: list[str]
     ) -> list[str] | None:
-        """A path d, w1, ..., wk, b (k >= 1) whose interior vertices come from
-        interior_pool (parents of c adjacent to b) and are colliders on it."""
+        """The first, in lexicographic order, of the paths d, w1, ..., wk, b
+        (k >= 1) whose interior vertices come from interior_pool (parents of
+        c adjacent to b) and are colliders on it."""
         g = self.g
+        pool = set(interior_pool + [b])
 
-        def extend(path: list[str]) -> list[str] | None:
+        def steps(path: list[str]) -> list[str] | None:
             tail = path[-1]
-            for w in sorted(set(interior_pool + [b]) & set(g.neighbors(tail))):
-                if w in path:
-                    continue
-                # collider check for the previous interior vertex
-                if len(path) >= 2:
-                    mid = path[-1]
-                    if not (
-                        g.mark_at(path[-2], mid) == Mark.ARROW
-                        and g.mark_at(w, mid) == Mark.ARROW
-                    ):
-                        continue
-                if w == b:
-                    if len(path) >= 2:
-                        return path + [w]
-                    continue  # need at least one interior collider
-                result = extend(path + [w])
-                if result is not None:
-                    return result
-            return None
+            if tail == b:
+                return None
+            # the first hop is interior; each later one makes the tail a collider
+            return sorted(w for w in pool.intersection(g.adj[tail]) if (
+                w != b if len(path) == 1
+                else g.mark_at(path[-2], tail) == g.mark_at(w, tail) == Mark.ARROW
+            ))
 
-        return extend([d])
+        return next(_simple_paths([d], steps), None)
 
     def _r8(self) -> bool:
         # a -> b -> c or a --o b -> c, with a o-> c: tail at a on a - c
@@ -762,16 +761,6 @@ over a marked search graph."""
                    for m in hops_b for w in hops_d):
                 changed = g.set_mark(c, a, Mark.TAIL, "R10") or changed
         return changed
-
-
-def _orient(
-    g: _Graph,
-    sc: StructuralConstraints,
-    sepsets: Mapping[frozenset[str], frozenset[str]],
-) -> None:
-    _apply_background(g, sc)
-    _orient_colliders(g, sepsets)
-    _RuleEngine(g, sepsets).run()
 
 
 # --------------------------------------------------------------------------
@@ -890,17 +879,21 @@ def fci(
 
     _prune_by_neighbors(tester, adj, sepsets, max_cond_size)
 
+    def role_marked(pairs: Iterable[tuple[str, str]]) -> _Graph:
+        """A search graph over ``pairs``, each edge with its role marks."""
+        return _Graph(names, [(u, v, *sc.initial_marks(u, v)) for u, v in pairs])
+
     # possible-d-sep refinement needs a provisionally oriented graph
-    g = _Graph(names, [(names[x], names[y]) for x, y in zip(*np.nonzero(np.triu(adj, 1)))])
-    _apply_background(g, sc)
+    g = role_marked((names[x], names[y]) for x, y in zip(*np.nonzero(np.triu(adj, 1))))
     _orient_colliders(g, sepsets)
-    if _pdsep_prune(tester, g, sepsets, max_cond_size):
-        logger.info("possible-d-sep pass removed edges; re-orienting")
+    removed = _pdsep_prune(tester, g, sepsets, max_cond_size)
+    logger.info("possible-d-sep pass removed %d edges", removed)
 
     # final orientation on a fresh graph over the pruned skeleton: neither
     # the provisional marks nor their refusals carry over
-    g = _Graph(names, g.sorted_edges())
-    _orient(g, sc, sepsets)
+    g = role_marked(g.sorted_edges())
+    _orient_colliders(g, sepsets)
+    _RuleEngine(g, sepsets).run()
 
     edges = tuple(
         PagEdge(u, v, g.mark_at(v, u), g.mark_at(u, v)) for u, v in g.sorted_edges()

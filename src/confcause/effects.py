@@ -17,10 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Kind, Role, _equal_frequency_codes, discretize
-from .discovery import Pag, fci
+from .dataset import Dataset, Kind, Role, _check_bins, _equal_frequency_codes, discretize
+from .discovery import Pag, _simple_paths, fci
 from .errors import (
-    BadBinCount,
     EmptyDataset,
     InputError,
     NoPathsFound,
@@ -57,10 +56,7 @@ class ModelParams:
                 f"theta_ratio must be positive, got {self.theta_ratio}",
                 theta_ratio=self.theta_ratio,
             )
-        if self.bins < 2:
-            raise BadBinCount(
-                f"bin_count must be >= 2, got {self.bins}", bin_count=self.bins
-            )
+        _check_bins(self.bins)
 
 
 @dataclass(frozen=True)
@@ -126,38 +122,25 @@ def extract_paths(admg: Admg, objective: str) -> list[tuple[str, ...]]:
             vertex=objective,
         )
     roles = {v.name: v.role for v in admg.vertices}
-    kept: list[tuple[str, ...]] = []
-    discarded = 0
 
-    def predecessors(v: str) -> list[str]:
-        return sorted(set(admg.parents(v)) | set(admg.spouses(v)))
+    def steps(path: list[str]) -> list[str] | None:
+        """The walk's next candidates: the non-objective parents and spouses
+        of its last vertex. None at an option or a dead end."""
+        if roles[path[-1]] == Role.OPTION:
+            return None
+        ext = sorted(p for p in {*admg.parents(path[-1]), *admg.spouses(path[-1])}
+                     if roles[p] != Role.OBJECTIVE)
+        return ext if set(ext).difference(path) else None
 
-    def walk(path: tuple[str, ...]) -> None:
-        nonlocal discarded
-        head = path[0]
-        if roles[head] == Role.OPTION:
-            if admg.parents(head):
-                discarded += 1
-            else:
-                kept.append(path)
-            return
-        ext = [
-            p for p in predecessors(head)
-            if p not in path and roles[p] != Role.OBJECTIVE
-        ]
-        if not ext:
-            discarded += 1
-            return
-        for p in ext:
-            walk((p, *path))
-
-    walk((objective,))
+    walks = [tuple(reversed(path)) for path in _simple_paths([objective], steps)]
+    kept = sorted(w for w in walks if roles[w[0]] == Role.OPTION and not admg.parents(w[0]))
+    discarded = len(walks) - len(kept)
     if discarded:
         logger.info(
             "discarded %d backward walks not originating at a parentless option",
             discarded,
         )
-    return sorted(kept)
+    return kept
 
 
 # --------------------------------------------------------------------------

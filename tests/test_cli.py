@@ -491,3 +491,14 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("level", ["LOUD", "debug"])
+def test_unknown_log_level_is_exit_2(tmp_path, capsys, monkeypatch, level):
+    monkeypatch.setenv("CONFCAUSE_LOG_LEVEL", level)
+    code, _, err = run(["synth", "--rows", "100", "--out", tmp_path], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InputError"
+    assert payload["details"] == {"level": level}
+    assert not (tmp_path / "data.csv").exists()

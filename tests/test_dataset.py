@@ -178,6 +178,15 @@ def test_concat_requires_matching_schema(loaded):
         loaded.concat(trimmed)
 
 
+def test_variable_without_a_column_is_named():
+    metas = (VariableMeta("x", Role.METRIC, Kind.CONTINUOUS),
+             VariableMeta("m", Role.METRIC, Kind.CONTINUOUS))
+    with pytest.raises(InputError) as err:
+        Dataset(metas, {"x": np.zeros(2)}, 2)
+    assert err.value.details == {"variable": "m"}
+    assert "'m'" in str(err.value)
+
+
 def test_matrix_column_order(loaded):
     mat = loaded.matrix(("latency", "throughput"))
     np.testing.assert_array_equal(mat[:, 0], loaded.column("latency"))
@@ -212,6 +221,13 @@ class TestDiscretize:
         ds = self._continuous([1.0, 2.0])
         with pytest.raises(BadBinCount):
             discretize(ds, 1)
+
+    @pytest.mark.parametrize("bins", [1, 0, -3])
+    def test_bin_count_checked_without_a_continuous_column(self, bins):
+        meta = (VariableMeta("k", Role.METRIC, Kind.DISCRETE),)
+        ds = Dataset(meta, {"k": np.array([0, 1, 1])}, 3)
+        with pytest.raises(BadBinCount):
+            discretize(ds, bins)
 
     def test_bins_continuous_columns_only(self, loaded):
         out = discretize(loaded, 5)
