@@ -248,7 +248,7 @@ class _Graph:
 # conditional-independence testing
 
 # matrices per stacked partial-correlation call, and conditioning sets per
-# batch of a pruning level: bounds the memory of the gathered covariances
+# pruning batch or speculation window: bounds memory, and stale speculation
 _STACK_CAP = 8192
 
 # stacks of conditioned sets below this size skip the Schur-complement kernel,
@@ -278,13 +278,13 @@ class _FisherZTester:
 
     Variables are numbered in sorted-name order (``names``, ``index``), and
     a query is a row of column indices: the pair x < y, then the
-    conditioning set in increasing order. The counts are those of a search
+    conditioning set in increasing order. ``counts`` are those of a search
     that tests one set at a time, in order, until one separates the pair:
-    ``test_count`` the tests that produced a statistic, ``untestable_count``
-    the untestable ones (singular submatrix or too few rows for the
-    conditioning size), and ``inverted_count`` the conditioned sets that the
-    exact route decided (see ``_evaluate``). A set tested again is counted
-    again.
+    the tests that produced a statistic, the untestable ones (singular
+    submatrix or too few rows for the conditioning size), and the
+    conditioned sets that the exact route inverted (see ``_evaluate``). A
+    set tested again is counted again. The searches add the tallies of the
+    queries whose answers they keep.
     """
 
     def __init__(self, ds: Dataset, alpha: float) -> None:
@@ -298,18 +298,20 @@ class _FisherZTester:
             cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
         self._cov = cov[np.ix_(order, order)]
         self._constant = np.diagonal(self._cov) == 0.0
-        self.test_count = self.untestable_count = self.inverted_count = 0
+        self.counts = np.zeros(3, dtype=np.int64)  # tests, untestable, inverted
 
     def first_separators(
         self, rows: np.ndarray, stops: Sequence[int]
-    ) -> list[int | None]:
+    ) -> tuple[list[int | None], np.ndarray]:
         """For each query, the index into ``rows`` of its first separating
-        set, or None when none of its sets separates its pair.
+        set, or None when none of its sets separates its pair; and each
+        query's tally, the ``counts`` of its sets up to and including its
+        first separating one, as rows of a ``(queries, 3)`` array.
 
         ``rows`` is a ``(B, k + 2)`` array of query rows, all of one
         conditioning size; query j is ``rows[stops[j - 1]:stops[j]]``, and
-        the last stop is B. Every set is evaluated, in stacks; the counts
-        take each query's sets up to and including its first separating one.
+        the last stop is B. Every set is evaluated, in stacks, and nothing
+        is counted.
         """
         codes, exact = self._evaluate(rows)
         # separating rows, and a sentinel past the last one
@@ -318,12 +320,11 @@ class _FisherZTester:
         count = found.searchsorted(bounds)  # separating sets before each bound
         hit = count[1:] > count[:-1]
         first = found[count[:-1]]  # each query's first separating set, or a later one
-        reached = np.arange(rows.shape[0]) <= first.repeat(bounds[1:] - bounds[:-1])
-        tally = np.bincount(codes[reached], minlength=4).tolist()
-        self.test_count += tally[0] + tally[1]
-        self.untestable_count += tally[_UNTESTABLE]
-        self.inverted_count += int(np.count_nonzero(exact & reached))
-        return [at if ok else None for at, ok in zip(first.tolist(), hit.tolist())]
+        owner = np.repeat(np.arange(len(stops)), np.diff(bounds))
+        reached = np.arange(rows.shape[0]) <= first[owner]
+        kinds = np.stack((codes <= 1, codes == _UNTESTABLE, exact)) & reached
+        tallies = np.stack([np.bincount(owner[kind], minlength=len(stops)) for kind in kinds], 1)
+        return [at if ok else None for at, ok in zip(first.tolist(), hit.tolist())], tallies
 
     def _evaluate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outcome code per query row, ``_STACK_CAP`` rows at a time, and which
@@ -434,8 +435,9 @@ def _prune_by_neighbors(
         removals = []
         for a, b in _cost_chunks(costs, _STACK_CAP):
             rows, stops = _neighbour_rows(snapshot, u[a:b], v[a:b], pools[a:b], level)
-            removals += [rows[hit] for hit in tester.first_separators(rows, stops)
-                         if hit is not None]
+            hits, tallies = tester.first_separators(rows, stops)
+            tester.counts += tallies.sum(axis=0)
+            removals += [rows[hit] for hit in hits if hit is not None]
         for x, y, *subset in removals:
             adj[x, y] = adj[y, x] = False
             sepsets[frozenset((names[x], names[y]))] = frozenset(names[i] for i in subset)
@@ -462,19 +464,53 @@ def _possible_d_sep(g: _Graph, x: str) -> set[str]:
     return reached
 
 
-def _first_separator(
-    tester: _FisherZTester, x: int, y: int, blocks: Iterable[np.ndarray]
-) -> np.ndarray | None:
-    """The first set that separates x and y, trying ``blocks`` (``(B, k)``
-    arrays of conditioning sets) in order, one stack each; None when no set
-    does. Blocks are drawn only while none has separated the pair."""
-    for sets in blocks:
-        rows = np.empty((sets.shape[0], sets.shape[1] + 2), dtype=np.intp)
-        rows[:, 0], rows[:, 1], rows[:, 2:] = x, y, sets
-        [hit] = tester.first_separators(rows, [rows.shape[0]])
-        if hit is not None:
-            return sets[hit]
-    return None
+def _in_search_order(
+    tester: _FisherZTester,
+    pairs: Sequence[tuple[int, int]],
+    pool_of: Callable[[int, int], object],
+    blocks_of: Callable[[int, int, object], list[np.ndarray]],
+) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    """Each pair x < y, in order, with the first set of its blocks,
+    ``blocks_of(x, y, pool_of(x, y))``, that separates it, or None, as a
+    search of one pair at a time finds and counts them; the caller may
+    change later pairs' pools before it takes the next answer.
+
+    Each round speculates, counting nothing, on the pairs ahead that have
+    no answer for their current pool, until their offered rows reach
+    ``_STACK_CAP``: block r of each pair that its first r blocks did not
+    separate joins one stack per set width. Then it yields the answers in
+    order, and counts their tallies, while a pair's pool is still the one
+    its answer was found on."""
+    spec: dict[int, list] = {}  # pair position -> [pool, separator, tally]
+    at = 0
+    while at < len(pairs):
+        window, offered = {}, 0  # the blocks of the pairs speculated on, by position
+        for j in range(at, len(pairs)):
+            if offered >= _STACK_CAP:
+                break
+            pool = pool_of(*pairs[j])
+            if j not in spec or spec[j][0] != pool:
+                window[j] = [b for b in blocks_of(*pairs[j], pool) if b.shape[0]]
+                spec[j] = [pool, None, np.zeros(3, dtype=np.int64)]
+                offered += sum(b.shape[0] for b in window[j])
+        for r in range(max(map(len, window.values()), default=0)):
+            widths: dict[int, list[int]] = {}
+            for j, blocks in window.items():
+                if spec[j][1] is None and r < len(blocks):
+                    widths.setdefault(blocks[r].shape[1], []).append(j)
+            for k, group in widths.items():
+                sizes = np.array([len(window[j][r]) for j in group])
+                rows = np.empty((sizes.sum(), k + 2), dtype=np.intp)
+                rows[:, 0], rows[:, 1] = np.repeat(np.array([pairs[j] for j in group]).T, sizes, 1)
+                rows[:, 2:] = np.concatenate([window[j][r] for j in group])
+                hits, tallies = tester.first_separators(rows, np.cumsum(sizes).tolist())
+                for j, hit, tally in zip(group, hits, tallies):
+                    spec[j][1:] = None if hit is None else rows[hit, 2:], spec[j][2] + tally
+        while at in spec and spec[at][0] == pool_of(*pairs[at]):
+            _, separator, tally = spec.pop(at)
+            tester.counts += tally
+            yield (*pairs[at], separator)
+            at += 1
 
 
 def _pdsep_prune(
@@ -483,38 +519,34 @@ def _pdsep_prune(
     sepsets: dict[frozenset[str], frozenset[str]],
     max_cond_size: int,
 ) -> int:
-    """Retest every surviving edge against possible-d-sep subsets: those of
-    u's possible-d-sep set, then v's, each by growing size, one stack per
-    size; v's set is found only once u's subsets fail, and its stacks skip
-    the sets inside u's, which were all tried without separating the pair.
-    A root's possible-d-sep set is kept until an edge is removed. Returns
-    the number of edges removed."""
+    """Retest every surviving edge u - v, in order, against the subsets of
+    u's possible-d-sep set, then v's, each by growing size; v's skip the
+    sets inside u's, which come first. The two sets, on the graph that the
+    earlier removals leave and kept until an edge is removed, are the
+    edge's pool in ``_in_search_order``. Returns the number of edges removed."""
     index, names = tester.index, tester.names
-    reach: dict[str, np.ndarray] = {}
 
-    def blocks(x: int, y: int) -> Iterator[np.ndarray]:
-        tried = np.zeros(len(names), dtype=bool)
-        for root in (names[x], names[y]):
-            if root not in reach:
-                reach[root] = np.array(sorted(map(index.get, _possible_d_sep(g, root))), np.intp)
-            pool = reach[root][(reach[root] != x) & (reach[root] != y)]
-            for size in range(1, min(max_cond_size, pool.shape[0]) + 1):
-                combos = _combos(pool.shape[0], size)
-                if tried.any():
-                    combos = combos[~tried[pool][combos].all(axis=1)]
-                if combos.shape[0]:
-                    yield pool[combos]
-            tried[pool] = True
+    @functools.lru_cache(maxsize=None)
+    def reach(root: int) -> tuple[int, ...]:
+        return tuple(sorted(map(index.get, _possible_d_sep(g, names[root]))))
 
-    removed = 0
-    for u, v in g.sorted_edges():
-        separator = _first_separator(tester, index[u], index[v], blocks(index[u], index[v]))
+    def blocks_of(x: int, y: int, pool: tuple[tuple[int, ...], ...]) -> list[np.ndarray]:
+        u, v = (np.array([w for w in root if w not in (x, y)], dtype=np.intp) for root in pool)
+        blocks = [u[_combos(len(u), size)] for size in range(1, min(max_cond_size, len(u)) + 1)]
+        in_u = np.isin(v, u)
+        for size in range(1, min(max_cond_size, len(v)) + 1):
+            combos = _combos(len(v), size)  # column by column: .all(axis=1) is slow on short rows
+            blocks.append(v[combos[~np.logical_and.reduce([in_u[col] for col in combos.T])]])
+        return blocks
+
+    pairs = [(index[u], index[v]) for u, v in g.sorted_edges()]
+    for x, y, separator in _in_search_order(tester, pairs, lambda x, y: (reach(x), reach(y)),
+                                            blocks_of):
         if separator is not None:
-            g.remove_edge(u, v)
-            reach.clear()
-            sepsets[frozenset((u, v))] = frozenset(names[i] for i in separator)
-            removed += 1
-    return removed
+            g.remove_edge(names[x], names[y])
+            reach.cache_clear()
+            sepsets[frozenset((names[x], names[y]))] = frozenset(names[i] for i in separator)
+    return len(pairs) - len(g.sorted_edges())
 
 
 # --------------------------------------------------------------------------
@@ -839,7 +871,8 @@ def fci(
     ``warm_adjacencies`` seeds the skeleton from a previous run instead of the
     complete graph; previously separated pairs are retested (at their recorded
     conditioning size when ``warm_sepsets`` provides it, else at every size up
-    to ``max_cond_size``) and re-added if no separator survives. The search
+    to ``max_cond_size``) and re-added if no separator survives; a separator
+    naming a variable outside ``ds`` raises ``UnknownVariable``. The search
     runs on one BLAS thread, and the previous count is restored on return.
     """
     if ds.sample_count == 0:
@@ -901,8 +934,7 @@ def fci(
     logger.info(
         "structure search: %d vertices, %d edges, %d sets inverted, "
         "%d untestable queries, %d CI tests",
-        len(names), len(edges), tester.inverted_count, tester.untestable_count,
-        tester.test_count,
+        len(names), len(edges), *tester.counts[::-1].tolist(),
     )
     return Pag(ds.variables, edges, dict(sepsets), tuple(dict.fromkeys(g.conflicts)))
 
@@ -915,27 +947,32 @@ def _retest_separated_pairs(
     max_cond_size: int,
     warm_sepsets: Mapping[frozenset[str], frozenset[str]],
 ) -> None:
-    """Re-examine pairs a previous run separated; re-add the edge when no
-    separator of the previously recorded size (or any size when unknown)
-    still works."""
+    """Re-examine the pairs a previous run separated, in order; re-add the
+    edge when no separator of the previously recorded size (or any size
+    when unknown) still works. A pair's pool in ``_in_search_order`` is
+    both endpoints' neighbours, which a re-added edge widens for the later
+    pairs that touch it."""
     names, index = tester.names, tester.index
-    for x, y in itertools.combinations(range(len(names)), 2):
-        u, v = names[x], names[y]
-        if adj[x, y] or not sc.allows_adjacency(u, v):
-            continue
-        recorded = warm_sepsets.get(frozenset((u, v)))
-        pool = np.flatnonzero(adj[x] | adj[y])
-        pool = pool[(pool != x) & (pool != y)]
-        blocks: Iterable[np.ndarray]
-        if recorded is not None:
-            first_try = np.array([sorted(index[w] for w in recorded)], dtype=np.intp)
-            blocks = [np.vstack([first_try, pool[_combos(pool.shape[0], len(recorded))]])]
-        else:
-            blocks = (
-                pool[_combos(pool.shape[0], size)] for size in range(max_cond_size + 1)
-            )
-        found = _first_separator(tester, x, y, blocks)
-        if found is not None:
-            sepsets[frozenset((u, v))] = frozenset(names[i] for i in found)
-        else:
+    unknown = sorted(set().union(*warm_sepsets.values()) - set(names))
+    if unknown:  # before any test runs
+        raise UnknownVariable(f"a recorded separator names {unknown[0]!r}, which is not a "
+                              "column", variable=unknown[0])
+
+    def pool_of(x: int, y: int) -> bytes:  # x and y stay apart until their turn
+        return (adj[x] | adj[y]).tobytes()
+
+    def blocks_of(x: int, y: int, pool: bytes) -> list[np.ndarray]:
+        members = np.flatnonzero(np.frombuffer(pool, dtype=bool))
+        recorded = warm_sepsets.get(frozenset((names[x], names[y])))
+        if recorded is None:
+            return [members[_combos(members.shape[0], size)] for size in range(max_cond_size + 1)]
+        first_try = np.array([sorted(index[w] for w in recorded)], dtype=np.intp)
+        return [np.vstack([first_try, members[_combos(members.shape[0], len(recorded))]])]
+
+    pairs = [(x, y) for x, y in itertools.combinations(range(len(names)), 2)
+             if not adj[x, y] and sc.allows_adjacency(names[x], names[y])]
+    for x, y, separator in _in_search_order(tester, pairs, pool_of, blocks_of):
+        if separator is None:
             adj[x, y] = adj[y, x] = True
+        else:
+            sepsets[frozenset((names[x], names[y]))] = frozenset(names[i] for i in separator)

@@ -23,8 +23,9 @@ from confcause.discovery import (
     build_constraints,
     fci,
 )
-from confcause.effects import learn_model
-from confcause.errors import InputError, MissingRole
+from confcause.effects import learn_model, update_model
+from confcause.errors import InputError, MissingRole, UnknownVariable
+from confcause.resolve import Admg
 from confcause.synthbench import Mechanism, generate_scm, sample, scm_from_mechanisms
 
 N = 20000
@@ -183,6 +184,20 @@ def test_warm_start_readds_wrongly_missing_edge():
         warm_sepsets={frozenset(("m", "y")): frozenset()},
     )
     assert frozenset(("m", "y")) in warm.adjacencies()
+
+
+def test_warm_start_rejects_a_separator_naming_no_column(monkeypatch):
+    """A recorded separator that names a variable outside the table is
+    refused by name before any CI test runs, through ``update_model`` too."""
+    ds = sample(chain_system(seed=2), 600)
+    monkeypatch.setattr(_FisherZTester, "first_separators", None)  # no test may run
+    recorded = {frozenset(("m", "y")): frozenset({"o", "nosuch"})}
+    with pytest.raises(UnknownVariable) as err:
+        fci(ds, warm_adjacencies=[frozenset(("m", "o"))], warm_sepsets=recorded)
+    assert err.value.details == {"variable": "nosuch"} and "nosuch" in str(err.value)
+    admg = Admg(ds.variables, frozenset({("o", "m")}), frozenset())
+    with pytest.raises(UnknownVariable):
+        update_model(admg, ds, ds, prev_sepsets=recorded)
 
 
 def test_bad_alpha_rejected():
@@ -399,7 +414,8 @@ def _first_separator(tester, x, y, subsets):
     rows = np.array(
         [[tester.index[name] for name in (x, y, *s)] for s in subsets], dtype=np.intp
     )
-    [hit] = tester.first_separators(rows, [len(rows)])
+    [hit], tallies = tester.first_separators(rows, [len(rows)])
+    tester.counts += tallies[0]
     return hit
 
 
@@ -408,11 +424,11 @@ def test_queries_counted_once_per_reached_set():
     tester = _FisherZTester(ds, 0.05)
     assert _first_separator(tester, "o", "y", [("m", "m2")]) is None
     assert _first_separator(tester, "o", "y", [("m",)]) == 0
-    assert (tester.test_count, tester.untestable_count) == (1, 1)
+    assert tester.counts[:2].tolist() == [1, 1]
     assert _first_separator(tester, "o", "y", [("m", "m2")]) is None  # tested again
-    assert (tester.test_count, tester.untestable_count) == (1, 2)
+    assert tester.counts[:2].tolist() == [1, 2]
     assert _first_separator(tester, "o", "y", [("m",), ("m2",)]) == 0  # m2 not reached
-    assert (tester.test_count, tester.untestable_count) == (2, 2)
+    assert tester.counts[:2].tolist() == [2, 2]
 
     flat = Dataset(
         (*ds.variables, _meta("k", Role.METRIC)),
@@ -421,13 +437,13 @@ def test_queries_counted_once_per_reached_set():
     )
     tester = _FisherZTester(flat, 0.05)
     assert _first_separator(tester, "k", "y", [("m",)]) == 0  # constant, not untestable
-    assert (tester.test_count, tester.untestable_count) == (0, 0)
+    assert tester.counts[:2].tolist() == [0, 0]
 
     few = Dataset(ds.variables, {k: v[:5] for k, v in ds.columns.items()}, 5)
     tester = _FisherZTester(few, 0.05)
     assert _first_separator(tester, "o", "y", [("m", "m2")]) is None
     assert any(_first_separator(tester, "o", "y", [s]) == 0 for s in [("m",), ()])
-    assert tester.untestable_count == 1  # five rows cannot condition on two
+    assert tester.counts[1] == 1  # five rows cannot condition on two
 
 
 def test_search_log_names_untestable_queries(caplog):

@@ -1,12 +1,12 @@
 """The structure search checked by meaning: with every CI test answered by
 m-separation in the generating model, ``fci`` must return a sound PAG.
 
-The oracle tester has the interface of ``discovery._FisherZTester`` and
-answers from ``scm.graph``, with each bidirected edge taken as a latent
-parent of its two endpoints. Soundness follows Zhang (2008, AIJ 172): the
-adjacencies are the true MAG's, an arrowhead at v means v is not an
-ancestor of u, and a tail at u means u is an ancestor of v. Rules R5-R7,
-which only selection bias needs, are not part of the search.
+The oracle tester (``tests/oracle.py``) answers from ``scm.graph``, with
+each bidirected edge taken as a latent parent of its two endpoints.
+Soundness follows Zhang (2008, AIJ 172): the adjacencies are the true
+MAG's, an arrowhead at v means v is not an ancestor of u, and a tail at u
+means u is an ancestor of v. Rules R5-R7, which only selection bias needs,
+are not part of the search.
 """
 
 import itertools
@@ -20,74 +20,13 @@ from hypothesis import strategies as st
 from confcause import discovery
 from confcause.dataset import Dataset, Role
 from confcause.discovery import Mark, fci
-from confcause.resolve import Admg
 from confcause.synthbench import generate_scm
 
-
-class _OracleTester:
-    """CI tests answered by m-separation in ``graph``."""
-
-    def __init__(self, graph: Admg) -> None:
-        self.names = tuple(sorted(graph.vertex_names))
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.parents = {v: set(graph.parents(v)) for v in self.names}
-        for pair in graph.bidirected:
-            latent = "latent:" + "|".join(sorted(pair))
-            self.parents[latent] = set()
-            for v in pair:
-                self.parents[v].add(latent)
-        self.test_count = 0
-        self.untestable_count = 0
-        self.inverted_count = 0  # no covariance matrix is inverted
-        self._cache: dict[tuple[str, str, frozenset[str]], bool] = {}
-
-    def separated(self, x: str, y: str, given: frozenset[str]) -> bool:
-        """d-separation of x and y given ``given`` in the graph with its
-        latents: x and y are disconnected in the moral graph of the
-        ancestors of {x, y} | given once ``given`` is removed."""
-        key = (x, y, given)
-        if key in self._cache:
-            return self._cache[key]
-        ancestral: set[str] = set()
-        stack = [x, y, *given]
-        while stack:
-            v = stack.pop()
-            if v not in ancestral:
-                ancestral.add(v)
-                stack.extend(self.parents[v])
-        moral: dict[str, set[str]] = {v: set() for v in ancestral}
-        for v in ancestral:
-            for p in self.parents[v]:
-                moral[v].add(p)
-                moral[p].add(v)
-            for a, b in itertools.combinations(self.parents[v], 2):
-                moral[a].add(b)
-                moral[b].add(a)
-        reached, stack = {x}, [x]
-        while stack:
-            for w in moral[stack.pop()] - given - reached:
-                reached.add(w)
-                stack.append(w)
-        self._cache[key] = y not in reached
-        return self._cache[key]
-
-    def first_separators(self, rows, stops):
-        hits, start = [], 0
-        for stop in stops:
-            hit = None
-            for i in range(start, stop):
-                x, y, *given = (self.names[j] for j in rows[i])
-                self.test_count += 1
-                if self.separated(x, y, frozenset(given)):
-                    hit = i
-                    break
-            hits.append(hit)
-            start = stop
-        return hits
+from oracle import OracleTester
 
 
 def _oracle_pag(scm):
-    oracle = _OracleTester(scm.graph)
+    oracle = OracleTester(scm.graph)
     # fci reads only the variables of its dataset when the tester is the oracle
     blank = Dataset(scm.variables, {v.name: np.zeros(1) for v in scm.variables}, 1)
     with mock.patch.object(discovery, "_FisherZTester", lambda ds, alpha: oracle):
@@ -95,7 +34,7 @@ def _oracle_pag(scm):
     return pag, oracle
 
 
-def _mag_adjacencies(oracle: _OracleTester) -> set[frozenset[str]]:
+def _mag_adjacencies(oracle: OracleTester) -> set[frozenset[str]]:
     """Pairs no subset of the other observed variables separates."""
     names = oracle.names
     adjacent = set()

@@ -171,9 +171,7 @@ class _SequentialTester:
         self.index = {name: i for i, name in enumerate(self.names)}
         self._position = {name: i for i, name in enumerate(ds.names)}
         self._cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
-        self.test_count = 0
-        self.untestable_count = 0
-        self.inverted_count = 0
+        self.counts = np.zeros(3, dtype=np.int64)  # tests, untestable, inverted
 
     def _test(self, x, y, cond):
         """(result, counted) of one test, evaluated on its own."""
@@ -183,7 +181,7 @@ class _SequentialTester:
         sub = self._cov[np.ix_(idx, idx)]
         if sub[0, 0] == 0.0 or sub[1, 1] == 0.0:
             return True, False
-        self.inverted_count += bool(cond)
+        self.counts[2] += bool(cond)
         rho = _reference_rho(sub)
         if rho is None:
             return None, False
@@ -199,15 +197,14 @@ class _SequentialTester:
             x, y = y, x
         for i, cond in enumerate(subsets):
             result, counted = self._test(x, y, cond)
-            self.test_count += counted
-            self.untestable_count += result is None
+            self.counts[:2] += counted, result is None
             if result is True:
                 return i
         return None
 
 
 def _counts(tester) -> tuple[int, int, int]:
-    return tester.test_count, tester.untestable_count, tester.inverted_count
+    return tuple(tester.counts.tolist())
 
 
 def _engine_first_independent(engine, x, y, subsets):
@@ -221,7 +218,8 @@ def _engine_first_independent(engine, x, y, subsets):
         rows = np.array(
             [[engine.index[v] for v in (x, y, *cond)] for cond in run], dtype=np.intp
         ).reshape(len(run), k + 2)
-        [hit] = engine.first_separators(rows, [len(run)])
+        [hit], tallies = engine.first_separators(rows, [len(run)])
+        engine.counts += tallies[0]
         if hit is not None:
             return at + hit
         at += len(run)
@@ -272,7 +270,7 @@ def test_engine_hit_positions_and_untestable_sets():
     ]
     engine, hits = _check_against_reference(ds, queries)
     assert hits == [0, 5, 3, 0, None, 3, 0, None]
-    assert engine.untestable_count == 2  # the singular set, reached twice
+    assert engine.counts[1] == 2  # the singular set, reached twice
 
 
 def test_engine_too_few_rows_for_the_conditioning_size():
@@ -280,7 +278,7 @@ def test_engine_too_few_rows_for_the_conditioning_size():
     engine, hits = _check_against_reference(
         ds, [("a", "b", [("c", "e", "f"), ("c", "e"), ("c",)])]
     )
-    assert engine.untestable_count == 1  # six rows cannot condition on three
+    assert engine.counts[1] == 1  # six rows cannot condition on three
 
 
 def test_engine_matches_reference_on_random_queries():
@@ -316,7 +314,8 @@ def test_engine_batches_and_repeats_within_a_call(monkeypatch):
     for x, y, subsets in queries:
         rows += [[engine.index[v] for v in (x, y, *cond)] for cond in subsets]
         stops.append(len(rows))
-    hits = engine.first_separators(np.array(rows, dtype=np.intp), stops)
+    hits, tallies = engine.first_separators(np.array(rows, dtype=np.intp), stops)
+    engine.counts += tallies.sum(axis=0)
     starts = [0, *stops[:-1]]
     want = [ref.first_independent(x, y, subsets) for x, y, subsets in queries]
     assert [None if h is None else h - s for h, s in zip(hits, starts)] == want
@@ -350,7 +349,8 @@ def test_engine_hits_and_counts_do_not_depend_on_the_call(monkeypatch):
         """Hits relative to each query's start, and the counts, of one call."""
         engine = _FisherZTester(ds, 0.05)
         stops = np.cumsum([len(q) for q in group]).tolist()
-        hits = engine.first_separators(np.concatenate(group), stops)
+        hits, tallies = engine.first_separators(np.concatenate(group), stops)
+        engine.counts += tallies.sum(axis=0)
         starts = [0, *stops[:-1]]
         return [None if h is None else h - s for h, s in zip(hits, starts)], _counts(engine)
 
@@ -588,6 +588,101 @@ def test_search_matches_sequential_search_on_a_wide_system():
     assert len(ds.names) > 64
     first = _assert_same_search(_rows(ds, 0, 200), 2)
     _assert_same_search(ds, 2, first.adjacencies(), first.sepsets)
+
+
+# --------------------------------------------------------------------------
+# speculation: an answer found on a pool that has since changed is not kept
+
+
+def _respeculation_spy(calls):
+    """A stand-in for ``_in_search_order`` that appends, per call, the set
+    of pairs whose blocks were built more than once: speculated again."""
+    driver = discovery._in_search_order
+
+    def spy(tester, pairs, pool_of, blocks_of):
+        seen, again = set(), set()
+        calls.append(again)
+
+        def recording(x, y, pool):
+            (again if (x, y) in seen else seen).add((x, y))
+            return blocks_of(x, y, pool)
+
+        return driver(tester, pairs, pool_of, recording)
+
+    return spy
+
+
+def _retested(engine, retest, ds, previous, max_cond_size):
+    """The skeleton, separators and tester after ``retest`` re-examines the
+    pairs that ``previous`` separated, as ``fci`` starts a warm search."""
+    tester = engine(ds, 0.05)
+    adj = np.zeros((len(tester.names),) * 2, dtype=bool)
+    for u, v in map(sorted, previous.adjacencies()):
+        adj[tester.index[u], tester.index[v]] = adj[tester.index[v], tester.index[u]] = True
+    sepsets = {}
+    sc = discovery.build_constraints(ds.variables)
+    retest(tester, adj, sepsets, sc, max_cond_size, previous.sepsets)
+    return adj, sepsets, tester
+
+
+def _assert_same_retest(ds, previous, max_cond_size):
+    want = _retested(_SequentialTester, _sequential_retest, ds, previous, max_cond_size)
+    got = _retested(_FisherZTester, discovery._retest_separated_pairs, ds, previous,
+                    max_cond_size)
+    assert (got[0] == want[0]).all() and got[1] == want[1]
+    assert _counts(got[2])[:2] == _counts(want[2])[:2]
+    return got
+
+
+def test_possible_d_sep_removal_respeculates_later_edges(monkeypatch):
+    """Removing an edge changes possible-d-sep sets, and so the pools of
+    later edges whose answers were speculated on the old ones: those edges
+    are searched again, and the search matches the sequential one."""
+    ds = sample(generate_scm(2, 5, 1, 0.35, seed=10, n_latents=1), 150)
+    calls = []
+    monkeypatch.setattr(discovery, "_in_search_order", _respeculation_spy(calls))
+    _assert_same_search(ds, 2)
+    assert len(calls) == 2 and all(calls)  # the pass, with and without the Schur kernel
+
+
+def test_retest_readd_respeculates_later_pairs(monkeypatch):
+    """A re-added edge widens the pools of the later pairs that touch it:
+    their speculated answers are found again, and the retest matches the
+    sequential one in skeleton, separators and counts."""
+    ds = sample(generate_scm(2, 5, 1, 0.35, seed=3, n_latents=1), 300)
+    previous = fci(_rows(ds, 0, 150), max_cond_size=2)
+    calls = []
+    monkeypatch.setattr(discovery, "_in_search_order", _respeculation_spy(calls))
+    adj, _, _ = _assert_same_retest(ds, previous, 2)
+    assert np.triu(adj).sum() > len(previous.adjacencies())  # an edge came back
+    assert len(calls) == 1 and calls[0]
+
+
+def test_update_retest_calls_the_tester_per_round_not_per_pair(monkeypatch):
+    """The first refresh of the ``update`` benchmark workload's system, with
+    recorded separators. Its pairs fit one speculation window, and a round
+    ends only at a pair whose pool a re-added edge changed: at most re-adds
+    + 1 rounds, each with at most one tester call per separator size, 0 to
+    3. That is far fewer calls than pairs, and the answers match the
+    sequential retest."""
+    ds = sample(generate_scm(8, 20, 2, 0.15, seed=0), 12500)
+    previous, _ = learn_model(_rows(ds, 0, 10000))
+    seen = {"pairs": 0, "calls": 0}
+    driver, separators = discovery._in_search_order, _FisherZTester.first_separators
+
+    def driving(tester, pairs, *args):
+        seen["pairs"] += len(pairs)
+        return driver(tester, pairs, *args)
+
+    def separating(tester, *args):
+        seen["calls"] += 1
+        return separators(tester, *args)
+
+    monkeypatch.setattr(discovery, "_in_search_order", driving)
+    monkeypatch.setattr(_FisherZTester, "first_separators", separating)
+    adj, _, _ = _assert_same_retest(ds, previous, 3)
+    rounds = int(np.triu(adj).sum()) - len(previous.adjacencies()) + 1
+    assert seen["calls"] <= 4 * rounds and 16 * rounds < seen["pairs"]
 
 
 def test_stacked_partial_correlation_is_bit_identical():
