@@ -248,7 +248,7 @@ class _Graph:
 # conditional-independence testing
 
 # matrices per stacked partial-correlation call, and conditioning sets per
-# pruning batch or speculation window: bounds memory, and stale speculation
+# speculation window (or one pair's): bounds memory, and stale speculation
 _STACK_CAP = 8192
 
 # stacks of conditioned sets below this size skip the Schur-complement kernel,
@@ -367,80 +367,40 @@ class _FisherZTester:
 # skeleton search
 
 
-def _cost_chunks(costs: Sequence[int], cap: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges of ``costs`` whose sum stays within ``cap``; an
-    item that alone exceeds it gets a range of its own."""
-    start, total = 0, 0
-    for i, cost in enumerate(costs):
-        if total and total + cost > cap:
-            yield start, i
-            start, total = i, 0
-        total += cost
-    if start < len(costs):
-        yield start, len(costs)
-
-
-def _neighbour_rows(
-    adj: np.ndarray, u: np.ndarray, v: np.ndarray, pools: np.ndarray, k: int
-) -> tuple[np.ndarray, list[int]]:
-    """Query rows of every pair's level-k conditioning sets, pair after
-    pair, and where each pair's rows end.
-
-    A pair's sets are the k-subsets of u's other neighbours and of v's,
-    without repeats, in lexicographic order: the k-subsets of the pair's
-    pool (the union) that lie within one endpoint's neighbourhood. Pairs
-    with a pool of one size are handled together.
-    """
-    sizes = pools.sum(axis=1)
-    owners, sets = [np.empty(0, dtype=np.intp)], [np.empty((0, k), dtype=np.intp)]
-    for size in np.unique(sizes[sizes >= k]).tolist():
-        group = np.flatnonzero(sizes == size)
-        members = np.nonzero(pools[group])[1].reshape(group.shape[0], size)
-        cand = members[:, _combos(size, k)]
-        keep = (
-            adj[u[group, None, None], cand].all(axis=2)
-            | adj[v[group, None, None], cand].all(axis=2)
-        )
-        owners.append(np.repeat(group, keep.sum(axis=1)))
-        sets.append(cand[keep])
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    rows = np.empty((owner.shape[0], k + 2), dtype=np.intp)
-    rows[:, 0], rows[:, 1] = u[owner[order]], v[owner[order]]
-    rows[:, 2:] = np.concatenate(sets)[order]
-    return rows, np.cumsum(np.bincount(owner, minlength=u.shape[0])).tolist()
-
-
 def _prune_by_neighbors(
     tester: _FisherZTester,
     adj: np.ndarray,
     sepsets: dict[frozenset[str], frozenset[str]],
     max_cond_size: int,
 ) -> None:
-    """Stable pruning rounds: neighbourhoods are snapshotted per subset-size
-    round and removals commit at round end, so results equal sequential
-    execution regardless of test scheduling. Each round's sets are tested
-    in batches of about ``_STACK_CAP``."""
+    """Stable pruning rounds: each subset-size round draws a pair's sets, the
+    k-subsets of its endpoints' other neighbours that lie within one
+    endpoint's neighbourhood, in lexicographic order, from the graph at the
+    round's start. So results equal sequential execution regardless of test
+    scheduling, and each pair's pool in ``_in_search_order`` is None."""
     names = tester.names
     for level in range(max_cond_size + 1):
         snapshot = adj.copy()
         u, v = np.nonzero(np.triu(snapshot, 1))
         degree = snapshot.sum(axis=1)
-        if not ((degree[u] > level) | (degree[v] > level)).any():
-            break
-        at = np.arange(u.shape[0])
-        pools = snapshot[u] | snapshot[v]
-        pools[at, u] = pools[at, v] = False
-        costs = [math.comb(n, level) for n in pools.sum(axis=1).tolist()]
-        removals = []
-        for a, b in _cost_chunks(costs, _STACK_CAP):
-            rows, stops = _neighbour_rows(snapshot, u[a:b], v[a:b], pools[a:b], level)
-            hits, tallies = tester.first_separators(rows, stops)
-            tester.counts += tallies.sum(axis=0)
-            removals += [rows[hit] for hit in hits if hit is not None]
-        for x, y, *subset in removals:
-            adj[x, y] = adj[y, x] = False
-            sepsets[frozenset((names[x], names[y]))] = frozenset(names[i] for i in subset)
+        testable = np.maximum(degree[u], degree[v]) > level
+        pairs = list(zip(u[testable].tolist(), v[testable].tolist()))
+
+        def blocks_of(x: int, y: int, _: None) -> list[np.ndarray]:
+            if not level:
+                return [_combos(0, 0)]  # the empty set
+            code = snapshot[x] + 2 * snapshot[y]  # bit 0: x's neighbour, bit 1: y's
+            code[x] = code[y] = 0
+            members = code.nonzero()[0]
+            sets = members[_combos(members.shape[0], level)]
+            if level > 1:  # a set of one lies within one neighbourhood
+                sets = sets[np.bitwise_and.reduce([code[col] for col in sets.T]) > 0]
+            return [sets]
+
+        for x, y, separator in _in_search_order(tester, pairs, lambda x, y: None, blocks_of):
+            if separator is not None:
+                adj[x, y] = adj[y, x] = False
+                sepsets[frozenset((names[x], names[y]))] = frozenset(names[i] for i in separator)
 
 
 def _possible_d_sep(g: _Graph, x: str) -> set[str]:
@@ -472,45 +432,54 @@ def _in_search_order(
 ) -> Iterator[tuple[int, int, np.ndarray | None]]:
     """Each pair x < y, in order, with the first set of its blocks,
     ``blocks_of(x, y, pool_of(x, y))``, that separates it, or None, as a
-    search of one pair at a time finds and counts them; the caller may
-    change later pairs' pools before it takes the next answer.
+    search of one pair at a time finds it; the caller may change later
+    pairs' pools before it takes the next answer.
 
-    Each round speculates, counting nothing, on the pairs ahead that have
-    no answer for their current pool, until their offered rows reach
-    ``_STACK_CAP``: block r of each pair that its first r blocks did not
-    separate joins one stack per set width. Then it yields the answers in
-    order, and counts their tallies, while a pair's pool is still the one
-    its answer was found on."""
-    spec: dict[int, list] = {}  # pair position -> [pool, separator, tally]
+    Each round speculates, counting nothing, on a window of the pairs ahead
+    that have no answer for their current pool. The window closes before a
+    pair whose rows would take it past ``_STACK_CAP``; a pair alone may
+    exceed it. Block r of each pair that its first r blocks did not separate
+    joins one stack per set width. Then the round yields the answers in
+    order while a pair's pool is still the one its answer was found on, and
+    adds those pairs' tallies to ``tester.counts``."""
+    spec: dict[int, list] = {}  # pair position -> [pool, separator]
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    tallies = np.zeros((len(pairs), 3), dtype=np.int64)  # per pair, as in ``first_separators``
     at = 0
     while at < len(pairs):
         window, offered = {}, 0  # the blocks of the pairs speculated on, by position
         for j in range(at, len(pairs)):
-            if offered >= _STACK_CAP:
-                break
             pool = pool_of(*pairs[j])
-            if j not in spec or spec[j][0] != pool:
-                window[j] = [b for b in blocks_of(*pairs[j], pool) if b.shape[0]]
-                spec[j] = [pool, None, np.zeros(3, dtype=np.int64)]
-                offered += sum(b.shape[0] for b in window[j])
+            if j in spec and spec[j][0] == pool:
+                continue
+            blocks = [b for b in blocks_of(*pairs[j], pool) if b.shape[0]]
+            size = sum([b.shape[0] for b in blocks])
+            if offered and offered + size > _STACK_CAP:
+                break
+            window[j], spec[j] = blocks, [pool, None]
+            offered += size
+        tallies[list(window)] = 0  # a pair speculated on again starts afresh
         for r in range(max(map(len, window.values()), default=0)):
             widths: dict[int, list[int]] = {}
             for j, blocks in window.items():
                 if spec[j][1] is None and r < len(blocks):
                     widths.setdefault(blocks[r].shape[1], []).append(j)
             for k, group in widths.items():
-                sizes = np.array([len(window[j][r]) for j in group])
-                rows = np.empty((sizes.sum(), k + 2), dtype=np.intp)
-                rows[:, 0], rows[:, 1] = np.repeat(np.array([pairs[j] for j in group]).T, sizes, 1)
-                rows[:, 2:] = np.concatenate([window[j][r] for j in group])
-                hits, tallies = tester.first_separators(rows, np.cumsum(sizes).tolist())
-                for j, hit, tally in zip(group, hits, tallies):
-                    spec[j][1:] = None if hit is None else rows[hit, 2:], spec[j][2] + tally
+                stack = [window[j][r] for j in group]
+                sizes = [b.shape[0] for b in stack]
+                rows = np.empty((sum(sizes), k + 2), dtype=np.intp)
+                rows[:, :2] = np.repeat(ends[group], sizes, axis=0)
+                rows[:, 2:] = np.concatenate(stack)
+                hits, found = tester.first_separators(rows, np.cumsum(sizes).tolist())
+                tallies[group] += found
+                for j, hit in zip(group, hits):
+                    if hit is not None:
+                        spec[j][1] = rows[hit, 2:]
+        start = at
         while at in spec and spec[at][0] == pool_of(*pairs[at]):
-            _, separator, tally = spec.pop(at)
-            tester.counts += tally
-            yield (*pairs[at], separator)
+            yield (*pairs[at], spec.pop(at)[1])
             at += 1
+        tester.counts += tallies[start:at].sum(axis=0)
 
 
 def _pdsep_prune(

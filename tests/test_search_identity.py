@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -639,8 +640,14 @@ def test_possible_d_sep_removal_respeculates_later_edges(monkeypatch):
     later edges whose answers were speculated on the old ones: those edges
     are searched again, and the search matches the sequential one."""
     ds = sample(generate_scm(2, 5, 1, 0.35, seed=10, n_latents=1), 150)
-    calls = []
-    monkeypatch.setattr(discovery, "_in_search_order", _respeculation_spy(calls))
+    calls, prune = [], discovery._pdsep_prune
+
+    def spied(*args):  # only this pass's driver calls are recorded
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discovery, "_in_search_order", _respeculation_spy(calls))
+            return prune(*args)
+
+    monkeypatch.setattr(discovery, "_pdsep_prune", spied)
     _assert_same_search(ds, 2)
     assert len(calls) == 2 and all(calls)  # the pass, with and without the Schur kernel
 
@@ -683,6 +690,87 @@ def test_update_retest_calls_the_tester_per_round_not_per_pair(monkeypatch):
     adj, _, _ = _assert_same_retest(ds, previous, 3)
     rounds = int(np.triu(adj).sum()) - len(previous.adjacencies()) + 1
     assert seen["calls"] <= 4 * rounds and 16 * rounds < seen["pairs"]
+
+
+def test_speculation_windows_stay_within_the_stack_cap(monkeypatch):
+    """A window closes before a pair whose rows would overflow the cap, so
+    each tester call holds at most ``_STACK_CAP`` rows, or one pair's."""
+    ds = sample(generate_scm(4, 10, 2, 0.3, seed=2, n_latents=1), 1500)
+    calls, separators = [], _FisherZTester.first_separators
+
+    def recording(tester, rows, stops):
+        calls.append((rows.shape[0], len(stops)))
+        return separators(tester, rows, stops)
+
+    monkeypatch.setattr(discovery, "_STACK_CAP", 10)
+    monkeypatch.setattr(_FisherZTester, "first_separators", recording)
+    fci(ds)
+    assert any(queries > 1 for _, queries in calls)
+    assert all(rows <= 10 or queries == 1 for rows, queries in calls)
+
+
+# --------------------------------------------------------------------------
+# the neighbour pass does not depend on the variables' names
+
+
+def _renamed(ds: Dataset, rng) -> tuple[Dataset, dict[str, str]]:
+    """The dataset with its variables renamed by a permutation within each
+    role, the same columns in the same table order; and the renaming."""
+    names = {}
+    for role in Role:
+        same = [v.name for v in ds.variables if v.role == role]
+        names.update(zip(same, rng.sample(same, len(same))))
+    variables = tuple(replace(v, name=names[v.name]) for v in ds.variables)
+    return Dataset(variables, {names[n]: ds.column(n) for n in ds.names}, ds.sample_count), names
+
+
+def _neighbour_skeleton(ds: Dataset, max_cond_size: int) -> set[frozenset[str]]:
+    """The adjacencies ``_prune_by_neighbors`` leaves of the role-allowed
+    complete graph."""
+    tester = _FisherZTester(ds, 0.05)
+    sc = discovery.build_constraints(ds.variables)
+    adj = np.array([[u != v and sc.allows_adjacency(u, v) for v in tester.names]
+                    for u in tester.names])
+    discovery._prune_by_neighbors(tester, adj, {}, max_cond_size)
+    return {frozenset((tester.names[x], tester.names[y]))
+            for x, y in zip(*np.nonzero(np.triu(adj, 1)))}
+
+
+def _assert_rename_invariant(ds, rng, max_cond_size=3):
+    renamed, names = _renamed(ds, rng)
+    back = {new: old for old, new in names.items()}
+    skeleton = _neighbour_skeleton(renamed, max_cond_size)
+    assert {frozenset(map(back.get, pair)) for pair in skeleton} == (
+        _neighbour_skeleton(ds, max_cond_size)
+    )
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, rows",
+    [((3, 6, 1, 0.3), {}, 400), ((6, 12, 2, 0.3), {"n_latents": 1}, 3000),
+     ((8, 24, 2, 0.15), {}, 2000)],
+    ids=["small", "latent", "wide"],
+)
+def test_neighbour_skeleton_does_not_depend_on_names(args, kwargs, rows):
+    """The systems of ``test_fci_output_and_test_count_pinned``."""
+    _assert_rename_invariant(sample(generate_scm(*args, **kwargs), rows), random.Random(0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(1, 2)),
+    density=st.sampled_from([0.2, 0.35, 0.5]),
+    latents=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+    rows=st.sampled_from([12, 40, 150, 600]),
+    max_cond_size=st.integers(0, 4),
+    rng=st.randoms(use_true_random=False),
+)
+def test_neighbour_skeleton_does_not_depend_on_names_random(
+    shape, density, latents, seed, rows, max_cond_size, rng
+):
+    ds = sample(generate_scm(*shape, density, seed=seed, n_latents=latents), rows)
+    _assert_rename_invariant(ds, rng, max_cond_size)
 
 
 def test_stacked_partial_correlation_is_bit_identical():
