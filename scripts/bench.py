@@ -1,16 +1,22 @@
-"""Time the structure search on a fixed ladder of generated systems and the
-``confcause bench`` study, and write the results as one JSON column.
+"""Time the CSV layer and the structure search on a fixed ladder of generated
+systems and the ``confcause bench`` study, and write the results as one JSON
+column.
 
-    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_19.json]
+    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_22.json]
 
 Each ladder rung is ``generate_scm(options, metrics, objectives, density,
-seed=0)`` sampled with ``sample(scm, rows)``. ``fci`` runs three times with
-its defaults; the rung records the fastest wall time, the four counts of the
-``structure search:`` log line, the adjacency F1 against the true graph, the
-learned edge count and ``pag_sha256``, the SHA-256 of the PAG's sorted-keys
-JSON. The study is ``confcause bench`` with its defaults (``run_benchmark``
-and ``transfer_series`` on seed 0), timed once, with the causal method's
-pooled precision, recall, F1 and false positives. When ``--out`` already
+seed=0)`` sampled with ``sample(scm, rows)``. The CSV layer writes the table
+with ``Dataset.save`` and reads it back with ``load_dataset``, each three
+times and then once more under ``tracemalloc``; the rung records the fastest
+wall time of each (``dump_s``, ``load_s``), the peak of each traced run in
+MiB (``dump_peak_mib``, ``load_peak_mib``) and ``table_sha256``, the SHA-256
+of the written table. ``fci`` runs three times with its defaults; the rung
+records the fastest wall time, the four counts of the ``structure search:``
+log line, the adjacency F1 against the true graph, the learned edge count and
+``pag_sha256``, the SHA-256 of the PAG's sorted-keys JSON. The study is
+``confcause bench`` with its defaults (``run_benchmark`` and
+``transfer_series`` on seed 0), timed once, with the causal method's pooled
+precision, recall, F1 and false positives. When ``--out`` already
 holds other columns, the new one is written next to them. ``--check FILE``
 exits 1 when a rung's ``pag_sha256`` or ``edges`` differs from FILE's
 ``change`` column; times and counts are not compared.
@@ -26,7 +32,9 @@ import os
 import platform
 import re
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from confcause import __version__  # noqa: E402
+from confcause.dataset import Dataset, load_dataset  # noqa: E402
 from confcause.discovery import fci  # noqa: E402
 from confcause.synthbench import generate_scm, run_benchmark, sample, transfer_series  # noqa: E402
 
@@ -67,9 +76,34 @@ def adjacency_f1(true_directed, learned) -> float:
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
+def csv_layer(ds: Dataset) -> dict:
+    """Wall times and traced peaks of writing ``ds`` and reading it back."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        table, roles = Path(tmp) / "data.csv", Path(tmp) / "roles.json"
+        for name, step in (("dump", lambda: ds.save(table, roles)),
+                           ("load", lambda: load_dataset(table, roles))):
+            times = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                step()
+                times.append(time.perf_counter() - start)
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out[f"{name}_s"] = round(min(times), 4)
+            out[f"{name}_peak_mib"] = round(peak / 2**20, 2)
+        out["table_sha256"] = hashlib.sha256(table.read_bytes()).hexdigest()
+    return out
+
+
 def rung(options: int, metrics: int, objectives: int, density: float, rows: int) -> dict:
     scm = generate_scm(options, metrics, objectives, density, seed=0)
     ds = sample(scm, rows)
+    layer = csv_layer(ds)
     handler, logger = _LastMessage(), logging.getLogger("confcause.discovery")
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
@@ -84,6 +118,7 @@ def rung(options: int, metrics: int, objectives: int, density: float, rows: int)
     counts = SEARCH_LINE.search(handler.message)
     return {
         "shape": [options, metrics, objectives, density, rows],
+        **layer,
         "fci_s": round(min(times), 4),
         **{name: int(value) for name, value in counts.groupdict().items() if name != "vertices"},
         "adj_f1": round(adjacency_f1(scm.graph.directed, pag.adjacencies()), 4),

@@ -10,6 +10,7 @@ boolean columns are stored as dense integer codes; the original labels live in
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import logging
@@ -41,6 +42,8 @@ _BOOLEAN_TOKENS = {
 _INT64 = np.iinfo(np.int64)
 # every integer of smaller magnitude is exactly a float64
 _EXACT_FLOAT_INTS = 2.0**53
+# rows that ``Dataset.dump_table`` turns into Python values at a time
+_DUMP_ROWS = 4096
 
 
 class Role(str, Enum):
@@ -160,18 +163,22 @@ class Dataset:
     # -- serialization ------------------------------------------------------
 
     def dump_table(self, stream: IO[str]) -> None:
+        """Write the header, then the rows ``_DUMP_ROWS`` at a time: a coded
+        column's labels, ``repr`` of each continuous value, and the other
+        columns' integers."""
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(self.names)
-        cells = []
-        for v in self.variables:
-            values = self.columns[v.name].tolist()
-            if v.domain is not None:
-                cells.append(map(v.domain.__getitem__, map(int, values)))
-            elif v.kind == Kind.CONTINUOUS:
-                cells.append(map(repr, map(float, values)))
-            else:
-                cells.append(map(str, map(int, values)))
-        writer.writerows(zip(*cells))
+        for start in range(0, self.sample_count, _DUMP_ROWS):
+            cells = []
+            for v in self.variables:
+                values = self.columns[v.name][start:start + _DUMP_ROWS].tolist()
+                if v.domain is not None:
+                    cells.append(map(v.domain.__getitem__, map(int, values)))
+                elif v.kind == Kind.CONTINUOUS:
+                    cells.append(map(repr, map(float, values)))
+                else:
+                    cells.append(map(str, map(int, values)))
+            writer.writerows(zip(*cells))
 
     def dump_roles(self, stream: IO[str]) -> None:
         payload = {
@@ -192,12 +199,17 @@ class Dataset:
 # loading
 
 
+def _holds_text(source: str | Path) -> bool:
+    """A ``str`` that contains a newline, or whose first non-blank
+    character is ``{``, is the text of a table or roles source; any other
+    ``str``, like a ``Path``, names a file."""
+    return isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{"))
+
+
 def _as_text(source: str | Path) -> str:
-    """The text of a table or roles source. A ``str`` that contains a
-    newline, or whose first non-blank character is ``{``, is the text
-    itself; any other ``str``, like a ``Path``, names a file, which must
-    exist."""
-    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
+    """The text of a table or roles source, read as UTF-8 when it names a
+    file, which must exist."""
+    if _holds_text(source):
         return source
     path = str(source)
     try:
@@ -340,43 +352,60 @@ def _parse_column(tokens: list[str], kind: Kind, var: str) -> np.ndarray:
     return values
 
 
-def _numeric_columns(
-    lines: list[str], metas: Sequence[VariableMeta]
-) -> list[np.ndarray] | None:
-    """The columns of an all-continuous/discrete table in one ``np.loadtxt``
-    pass over its physical lines, header first; None whenever the table
-    needs the CSV path: quotes in the header, no data rows, a line that is
+def _numeric_table(table_source: str | Path, roles_source: str | Path) -> Dataset | None:
+    """The dataset of an all-continuous/discrete table, parsed by
+    ``np.loadtxt`` from the open source, in binary, a line at a time after
+    the header; a ``str`` holding the text is read through its UTF-8
+    encoding. None whenever the table needs the CSV path: a source or roles
+    that cannot be read, a header that holds a quote or is not exactly the
+    roles' names, no data rows, bytes that are not UTF-8, a line that is
     not exactly one complete row of cells ``float`` and ``loadtxt`` both
     accept, or a column :func:`_checked` rejects. The CSV path then gives
-    the same result or the same error."""
+    the same result or raises the same error."""
     numeric = (Kind.CONTINUOUS, Kind.DISCRETE)
-    if not metas or any(m.kind not in numeric for m in metas):
-        return None
-    # without a quote the csv reader's header is exactly the first line
-    if '"' in lines[0]:
-        return None
-    data = lines[1:]
-    # the csv reader yields no row for a line of bare line ends, and a row
-    # for every other line
-    expected = sum(1 for line in data if line.strip("\r"))
-    if not expected:
-        return None
     try:
-        block = np.loadtxt(
-            data, dtype=np.float64, delimiter=",", comments=None,
-            quotechar=None, ndmin=2,
-        )
-    except ValueError:
+        roles = _parse_roles(_as_text(roles_source))
+        if _holds_text(table_source):
+            stream = io.BytesIO(table_source.encode())
+        else:
+            stream = open(str(table_source), "rb")
+    except (InputError, OSError, ValueError):  # a UnicodeError is a ValueError
         return None
+    with stream:
+        head = stream.readline()
+        # without a quote the csv reader's header is exactly the first line
+        try:
+            header = [h.strip() for h in next(csv.reader([head.decode()]))]
+        except (UnicodeDecodeError, csv.Error):
+            return None
+        if b'"' in head or len(set(header)) != len(header) or set(header) != set(roles):
+            return None
+        metas = [VariableMeta(name, *roles[name]) for name in header]
+        if not metas or any(m.kind not in numeric for m in metas):
+            return None
+        # the csv reader yields no row for a line of bare line ends, and a
+        # row for every other line
+        start = stream.tell()
+        expected = sum(1 for line in stream if line.strip(b"\r\n"))
+        if not expected:
+            return None
+        stream.seek(start)
+        try:
+            block = np.loadtxt(
+                stream, dtype=np.float64, delimiter=",", comments=None,
+                quotechar=None, ndmin=2, encoding="utf-8",
+            )
+        except ValueError:  # a decode error too
+            return None
     if block.shape != (expected, len(metas)):
         return None
-    columns = []
+    columns = {}
     for j, meta in enumerate(metas):
         values = _checked(np.ascontiguousarray(block[:, j]), meta.kind)
         if values is None:
             return None
-        columns.append(values)
-    return columns
+        columns[meta.name] = values
+    return Dataset(tuple(metas), columns, expected)
 
 
 def load_dataset(table_source: str | Path, roles_source: str | Path) -> Dataset:
@@ -386,9 +415,13 @@ def load_dataset(table_source: str | Path, roles_source: str | Path) -> Dataset:
     entry and vice versa. Rows with missing or extra cells are dropped with a
     log entry. Categorical labels are coded by first appearance; booleans
     accept true/false (case-insensitive) and 0/1. A table of continuous and
-    discrete columns is read by :func:`_numeric_columns` when it can be;
-    otherwise, with the same result, by the CSV reader a column at a time.
+    discrete columns is streamed from its source by :func:`_numeric_table`
+    when it can be; otherwise, with the same result or the same error, the
+    CSV reader reads the whole text, a column at a time.
     """
+    numeric = _numeric_table(table_source, roles_source)
+    if numeric is not None:
+        return numeric
     lines = _as_text(table_source).split("\n")
     roles = _parse_roles(_as_text(roles_source))
 
@@ -415,11 +448,6 @@ def load_dataset(table_source: str | Path, roles_source: str | Path) -> Dataset:
             )
 
     metas = [VariableMeta(n, roles[n][0], roles[n][1]) for n in header]
-    numeric = _numeric_columns(lines, metas)
-    if numeric is not None:
-        columns = {m.name: col for m, col in zip(metas, numeric)}
-        return Dataset(tuple(metas), columns, int(numeric[0].shape[0]))
-
     rows = [row for row in reader if row]
     complete = [row for row in rows if len(row) == len(header)]
     cells = [list(map(str.strip, col)) for col in zip(*complete)]

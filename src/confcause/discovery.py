@@ -441,10 +441,12 @@ def _in_search_order(
     exceed it. Block r of each pair that its first r blocks did not separate
     joins one stack per set width. Then the round yields the answers in
     order while a pair's pool is still the one its answer was found on, and
-    adds those pairs' tallies to ``tester.counts``."""
+    adds those pairs' tallies to ``tester.counts``. The blocks of the pair
+    that closed a window open the next one if its pool is unchanged."""
     spec: dict[int, list] = {}  # pair position -> [pool, separator]
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     tallies = np.zeros((len(pairs), 3), dtype=np.int64)  # per pair, as in ``first_separators``
+    closer: tuple = (None, None, None)  # position, pool and blocks of the pair that closed a window
     at = 0
     while at < len(pairs):
         window, offered = {}, 0  # the blocks of the pairs speculated on, by position
@@ -452,9 +454,13 @@ def _in_search_order(
             pool = pool_of(*pairs[j])
             if j in spec and spec[j][0] == pool:
                 continue
-            blocks = [b for b in blocks_of(*pairs[j], pool) if b.shape[0]]
+            if closer[0] == j and closer[1] == pool:
+                blocks = closer[2]
+            else:
+                blocks = [b for b in blocks_of(*pairs[j], pool) if b.shape[0]]
             size = sum([b.shape[0] for b in blocks])
             if offered and offered + size > _STACK_CAP:
+                closer = (j, pool, blocks)
                 break
             window[j], spec[j] = blocks, [pool, None]
             offered += size
@@ -918,29 +924,48 @@ def _retest_separated_pairs(
 ) -> None:
     """Re-examine the pairs a previous run separated, in order; re-add the
     edge when no separator of the previously recorded size (or any size
-    when unknown) still works. A pair's pool in ``_in_search_order`` is
-    both endpoints' neighbours, which a re-added edge widens for the later
-    pairs that touch it."""
+    when unknown) still works. A pair's first set, its recorded separator
+    or else the empty set, does not depend on the skeleton, so one stacked
+    call per set width decides every pair's first set before the walk. The
+    pairs it leaves unseparated go through ``_in_search_order`` with the
+    rest of their sets, from a pool of both endpoints' neighbours, which a
+    re-added edge widens for the later pairs that touch it."""
     names, index = tester.names, tester.index
     unknown = sorted(set().union(*warm_sepsets.values()) - set(names))
     if unknown:  # before any test runs
         raise UnknownVariable(f"a recorded separator names {unknown[0]!r}, which is not a "
                               "column", variable=unknown[0])
 
+    def recorded(x: int, y: int) -> frozenset[str] | None:
+        return warm_sepsets.get(frozenset((names[x], names[y])))
+
+    pairs = [(x, y) for x, y in itertools.combinations(range(len(names)), 2)
+             if not adj[x, y] and sc.allows_adjacency(names[x], names[y])]
+    heads: dict[int, list[tuple[int, ...]]] = {}  # query rows by set width
+    for x, y in pairs:
+        head = (x, y, *sorted(index[w] for w in recorded(x, y) or ()))
+        heads.setdefault(len(head), []).append(head)
+    settled = set()
+    for group in heads.values():
+        hits, tallies = tester.first_separators(np.array(group, dtype=np.intp),
+                                              range(1, len(group) + 1))
+        tester.counts += tallies.sum(axis=0)
+        for (x, y, *separator), hit in zip(group, hits):
+            if hit is not None:
+                settled.add((x, y))
+                sepsets[frozenset((names[x], names[y]))] = frozenset(names[i] for i in separator)
+
     def pool_of(x: int, y: int) -> bytes:  # x and y stay apart until their turn
         return (adj[x] | adj[y]).tobytes()
 
     def blocks_of(x: int, y: int, pool: bytes) -> list[np.ndarray]:
         members = np.flatnonzero(np.frombuffer(pool, dtype=bool))
-        recorded = warm_sepsets.get(frozenset((names[x], names[y])))
-        if recorded is None:
-            return [members[_combos(members.shape[0], size)] for size in range(max_cond_size + 1)]
-        first_try = np.array([sorted(index[w] for w in recorded)], dtype=np.intp)
-        return [np.vstack([first_try, members[_combos(members.shape[0], len(recorded))]])]
+        separator = recorded(x, y)
+        sizes = range(1, max_cond_size + 1) if separator is None else [len(separator)]
+        return [members[_combos(members.shape[0], size)] for size in sizes]
 
-    pairs = [(x, y) for x, y in itertools.combinations(range(len(names)), 2)
-             if not adj[x, y] and sc.allows_adjacency(names[x], names[y])]
-    for x, y, separator in _in_search_order(tester, pairs, pool_of, blocks_of):
+    unsettled = [pair for pair in pairs if pair not in settled]
+    for x, y, separator in _in_search_order(tester, unsettled, pool_of, blocks_of):
         if separator is None:
             adj[x, y] = adj[y, x] = True
         else:

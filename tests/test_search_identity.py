@@ -667,18 +667,20 @@ def test_retest_readd_respeculates_later_pairs(monkeypatch):
 
 def test_update_retest_calls_the_tester_per_round_not_per_pair(monkeypatch):
     """The first refresh of the ``update`` benchmark workload's system, with
-    recorded separators. Its pairs fit one speculation window, and a round
-    ends only at a pair whose pool a re-added edge changed: at most re-adds
-    + 1 rounds, each with at most one tester call per separator size, 0 to
-    3. That is far fewer calls than pairs, and the answers match the
+    recorded separators. One call per separator size, 0 to 3, tries every
+    pair's recorded separator, and only the pairs it leaves unseparated
+    reach the driver. Those fit one speculation window, and a round ends
+    only at a pair whose pool a re-added edge changed: at most re-adds + 1
+    rounds, each with at most one tester call per separator size. That is
+    far fewer calls than pairs examined, and the answers match the
     sequential retest."""
     ds = sample(generate_scm(8, 20, 2, 0.15, seed=0), 12500)
     previous, _ = learn_model(_rows(ds, 0, 10000))
-    seen = {"pairs": 0, "calls": 0}
+    seen = {"driven": 0, "calls": 0}
     driver, separators = discovery._in_search_order, _FisherZTester.first_separators
 
     def driving(tester, pairs, *args):
-        seen["pairs"] += len(pairs)
+        seen["driven"] += len(pairs)
         return driver(tester, pairs, *args)
 
     def separating(tester, *args):
@@ -688,8 +690,14 @@ def test_update_retest_calls_the_tester_per_round_not_per_pair(monkeypatch):
     monkeypatch.setattr(discovery, "_in_search_order", driving)
     monkeypatch.setattr(_FisherZTester, "first_separators", separating)
     adj, _, _ = _assert_same_retest(ds, previous, 3)
+    sc = discovery.build_constraints(ds.variables)
+    examined = sum(
+        frozenset(pair) not in previous.adjacencies() and sc.allows_adjacency(*pair)
+        for pair in itertools.combinations(ds.names, 2)
+    )
     rounds = int(np.triu(adj).sum()) - len(previous.adjacencies()) + 1
-    assert seen["calls"] <= 4 * rounds and 16 * rounds < seen["pairs"]
+    assert seen["driven"] < examined
+    assert seen["calls"] <= 4 * (rounds + 1) and 16 * rounds < examined
 
 
 def test_speculation_windows_stay_within_the_stack_cap(monkeypatch):
@@ -707,6 +715,29 @@ def test_speculation_windows_stay_within_the_stack_cap(monkeypatch):
     fci(ds)
     assert any(queries > 1 for _, queries in calls)
     assert all(rows <= 10 or queries == 1 for rows, queries in calls)
+
+
+def test_window_closer_blocks_are_built_once(monkeypatch):
+    """The pair whose rows would overflow a window opens the next one with
+    the blocks it already built: with a small cap, many windows close, and
+    no pair's blocks are built twice on one pool."""
+    ds = sample(generate_scm(4, 10, 2, 0.3, seed=2, n_latents=1), 1500)
+    built, driver = [], discovery._in_search_order
+
+    def spy(tester, pairs, pool_of, blocks_of):
+        seen = set()
+
+        def recording(x, y, pool):  # a pool is None, a tuple or bytes
+            built.append((x, y, pool) in seen)
+            seen.add((x, y, pool))
+            return blocks_of(x, y, pool)
+
+        return driver(tester, pairs, pool_of, recording)
+
+    monkeypatch.setattr(discovery, "_STACK_CAP", 10)
+    monkeypatch.setattr(discovery, "_in_search_order", spy)
+    fci(ds)
+    assert len(built) > 100 and not any(built)
 
 
 # --------------------------------------------------------------------------
