@@ -2,7 +2,7 @@
 systems and the ``confcause bench`` study, and write the results as one JSON
 column.
 
-    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_22.json]
+    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_25.json]
 
 Each ladder rung is ``generate_scm(options, metrics, objectives, density,
 seed=0)`` sampled with ``sample(scm, rows)``. The CSV layer writes the table

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -125,10 +125,6 @@ class Dataset:
         return self.by_role(Role.OPTION)
 
     @property
-    def metrics(self) -> tuple[str, ...]:
-        return self.by_role(Role.METRIC)
-
-    @property
     def objectives(self) -> tuple[str, ...]:
         return self.by_role(Role.OBJECTIVE)
 
@@ -199,25 +195,40 @@ class Dataset:
 # loading
 
 
-def _holds_text(source: str | Path) -> bool:
-    """A ``str`` that contains a newline, or whose first non-blank
-    character is ``{``, is the text of a table or roles source; any other
-    ``str``, like a ``Path``, names a file."""
-    return isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{"))
-
-
-def _as_text(source: str | Path) -> str:
-    """The text of a table or roles source, read as UTF-8 when it names a
-    file, which must exist."""
-    if _holds_text(source):
-        return source
+def _open(source: str | Path) -> tuple[IO[bytes], Callable[[bytes], str]]:
+    """A binary stream over a table or roles source, and the function that
+    decodes what is read from it. A ``str`` that contains a newline, or
+    whose first non-blank character is ``{``, holds the text, which is read
+    through its UTF-8 encoding, lone surrogates kept, so that it decodes to
+    itself. Any other ``str``, like a ``Path``, names a file, which must
+    exist; its bytes that are not UTF-8 raise InputError where they are
+    decoded."""
+    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
+        return (io.BytesIO(source.encode("utf-8", "surrogatepass")),
+                lambda data: data.decode("utf-8", "surrogatepass"))
     path = str(source)
     try:
-        return Path(path).read_text(encoding="utf-8")
+        stream = open(path, "rb")
     except OSError as exc:
         raise InputError(
             f"cannot read {path!r}: {exc.strerror or exc}", path=path
         ) from exc
+
+    def decode(data: bytes) -> str:
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path!r} is not UTF-8: {exc}", path=path) from exc
+
+    return stream, decode
+
+
+def _as_text(source: str | Path) -> str:
+    """The whole text of a roles, model, prediction or truth source, opened
+    as :func:`_open` opens it."""
+    stream, decode = _open(source)
+    with stream:
+        return decode(stream.read())
 
 
 def _parse_roles(text: str) -> dict[str, tuple[Role, Kind]]:
@@ -258,8 +269,8 @@ def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int:
     as an integer is parsed exactly; any other numeric form (``3.0``,
     ``1e3``) must be integral, and the value must fit in int64.
 
-    This is the reference for :func:`_parse_column`, which runs it only on a
-    column its whole-column checks reject."""
+    This is the reference for :func:`_whole_column`; ``load_dataset`` runs
+    it only on a column that function rejects."""
     if kind == Kind.CONTINUOUS:
         try:
             value = float(token)
@@ -339,64 +350,35 @@ def _whole_column(tokens: list[str], kind: Kind) -> np.ndarray | None:
     return _checked(values, kind)
 
 
-def _parse_column(tokens: list[str], kind: Kind, var: str) -> np.ndarray:
-    """One numeric or boolean column: float64 if continuous, int64
-    otherwise. A column the whole-column checks reject is parsed cell by
-    cell, which names its first bad cell by row and column."""
-    values = _whole_column(tokens, kind)
-    if values is None:
-        values = np.array(
-            [_parse_cell(t, kind, var, i) for i, t in enumerate(tokens)],
-            dtype=np.float64 if kind == Kind.CONTINUOUS else np.int64,
-        )
-    return values
-
-
-def _numeric_table(table_source: str | Path, roles_source: str | Path) -> Dataset | None:
-    """The dataset of an all-continuous/discrete table, parsed by
-    ``np.loadtxt`` from the open source, in binary, a line at a time after
-    the header; a ``str`` holding the text is read through its UTF-8
-    encoding. None whenever the table needs the CSV path: a source or roles
-    that cannot be read, a header that holds a quote or is not exactly the
-    roles' names, no data rows, bytes that are not UTF-8, a line that is
-    not exactly one complete row of cells ``float`` and ``loadtxt`` both
-    accept, or a column :func:`_checked` rejects. The CSV path then gives
-    the same result or raises the same error."""
-    numeric = (Kind.CONTINUOUS, Kind.DISCRETE)
+def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The CSV reader's rows of ``lines``; InputError for a malformed one,
+    such as a carriage return inside an unquoted cell."""
     try:
-        roles = _parse_roles(_as_text(roles_source))
-        if _holds_text(table_source):
-            stream = io.BytesIO(table_source.encode())
-        else:
-            stream = open(str(table_source), "rb")
-    except (InputError, OSError, ValueError):  # a UnicodeError is a ValueError
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        raise InputError(f"table is not valid CSV: {exc}") from exc
+
+
+def _numeric_rows(stream: IO[bytes], metas: list[VariableMeta]) -> Dataset | None:
+    """The dataset of the rows left in ``stream`` when every column is
+    continuous or discrete, parsed by ``np.loadtxt`` a line at a time. None
+    when the rows need the CSV reader: there are none, a line is not exactly
+    one complete row of cells ``float`` and ``loadtxt`` both accept, or
+    :func:`_checked` rejects a column."""
+    # the csv reader yields no row for a line of bare line ends, and a row
+    # for every other line
+    start = stream.tell()
+    expected = sum(1 for line in stream if line.strip(b"\r\n"))
+    if not expected:
         return None
-    with stream:
-        head = stream.readline()
-        # without a quote the csv reader's header is exactly the first line
-        try:
-            header = [h.strip() for h in next(csv.reader([head.decode()]))]
-        except (UnicodeDecodeError, csv.Error):
-            return None
-        if b'"' in head or len(set(header)) != len(header) or set(header) != set(roles):
-            return None
-        metas = [VariableMeta(name, *roles[name]) for name in header]
-        if not metas or any(m.kind not in numeric for m in metas):
-            return None
-        # the csv reader yields no row for a line of bare line ends, and a
-        # row for every other line
-        start = stream.tell()
-        expected = sum(1 for line in stream if line.strip(b"\r\n"))
-        if not expected:
-            return None
-        stream.seek(start)
-        try:
-            block = np.loadtxt(
-                stream, dtype=np.float64, delimiter=",", comments=None,
-                quotechar=None, ndmin=2, encoding="utf-8",
-            )
-        except ValueError:  # a decode error too
-            return None
+    stream.seek(start)
+    try:
+        block = np.loadtxt(
+            stream, dtype=np.float64, delimiter=",", comments=None,
+            quotechar=None, ndmin=2, encoding="utf-8",
+        )
+    except ValueError:  # a decode error too
+        return None
     if block.shape != (expected, len(metas)):
         return None
     columns = {}
@@ -414,41 +396,44 @@ def load_dataset(table_source: str | Path, roles_source: str | Path) -> Dataset:
     The header row names the variables; every header name must have a roles
     entry and vice versa. Rows with missing or extra cells are dropped with a
     log entry. Categorical labels are coded by first appearance; booleans
-    accept true/false (case-insensitive) and 0/1. A table of continuous and
-    discrete columns is streamed from its source by :func:`_numeric_table`
-    when it can be; otherwise, with the same result or the same error, the
-    CSV reader reads the whole text, a column at a time.
+    accept true/false (case-insensitive) and 0/1.
+
+    The table is opened once, as :func:`_open` opens it, and lines end only
+    at ``\\n``. The roles are parsed next, then the header is read with the
+    CSV reader and checked against them, and then the rows are read from the
+    same stream: by :func:`_numeric_rows` when every column is continuous or
+    discrete and it can, otherwise, from the first data line again, by the
+    CSV reader, a column at a time. Bytes that are not UTF-8 raise
+    InputError where they are read.
     """
-    numeric = _numeric_table(table_source, roles_source)
-    if numeric is not None:
-        return numeric
-    lines = _as_text(table_source).split("\n")
-    roles = _parse_roles(_as_text(roles_source))
+    stream, decode = _open(table_source)
+    with stream:
+        roles = _parse_roles(_as_text(roles_source))
+        try:
+            header = next(_csv_rows(map(decode, iter(stream.readline, b""))))
+        except StopIteration:
+            raise EmptyDataset("table has no header row") from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise DuplicateName(f"duplicate column names: {dupes}", names=dupes)
+        for name in header:
+            if name not in roles:
+                raise MissingRole(f"column {name!r} has no role assignment", variable=name)
+        for name in roles:
+            if name not in header:
+                raise UnknownVariable(
+                    f"roles file references absent column {name!r}", variable=name
+                )
 
-    # the lines io.StringIO would yield, without its 4-byte-per-character copy
-    reader = csv.reader(
-        itertools.chain((line + "\n" for line in lines[:-1]), filter(None, lines[-1:]))
-    )
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDataset("table has no header row") from None
-    header = [h.strip() for h in header]
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise DuplicateName(f"duplicate column names: {dupes}", names=dupes)
-
-    for name in header:
-        if name not in roles:
-            raise MissingRole(f"column {name!r} has no role assignment", variable=name)
-    for name in roles:
-        if name not in header:
-            raise UnknownVariable(
-                f"roles file references absent column {name!r}", variable=name
-            )
-
-    metas = [VariableMeta(n, roles[n][0], roles[n][1]) for n in header]
-    rows = [row for row in reader if row]
+        metas = [VariableMeta(n, roles[n][0], roles[n][1]) for n in header]
+        if all(m.kind in (Kind.CONTINUOUS, Kind.DISCRETE) for m in metas):
+            start = stream.tell()
+            numeric = _numeric_rows(stream, metas)
+            if numeric is not None:
+                return numeric
+            stream.seek(start)
+        rows = [row for row in _csv_rows(map(decode, stream)) if row]
     complete = [row for row in rows if len(row) == len(header)]
     cells = [list(map(str.strip, col)) for col in zip(*complete)]
     filled = np.ones(len(complete), dtype=bool)
@@ -474,11 +459,17 @@ def load_dataset(table_source: str | Path, roles_source: str | Path) -> Dataset:
                 map(code_of.__getitem__, tokens), np.int64, sample_count
             )
             final_metas.append(replace(meta, domain=domain))
-        else:
-            columns[meta.name] = _parse_column(tokens, meta.kind, meta.name)
-            if meta.kind == Kind.BOOLEAN:
-                meta = replace(meta, domain=("false", "true"))
-            final_metas.append(meta)
+            continue
+        values = _whole_column(tokens, meta.kind)
+        if values is None:  # named by its first bad cell
+            values = np.array(
+                [_parse_cell(t, meta.kind, meta.name, i) for i, t in enumerate(tokens)],
+                dtype=np.float64 if meta.kind == Kind.CONTINUOUS else np.int64,
+            )
+        columns[meta.name] = values
+        if meta.kind == Kind.BOOLEAN:
+            meta = replace(meta, domain=("false", "true"))
+        final_metas.append(meta)
 
     return Dataset(tuple(final_metas), columns, sample_count)
 

@@ -76,17 +76,8 @@ class Pag:
     sepsets: Mapping[frozenset[str], frozenset[str]]
     conflicts: tuple[str, ...] = ()
 
-    @property
-    def vertex_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vertices)
-
     def edge_marks(self) -> dict[tuple[str, str], tuple[Mark, Mark]]:
         return {(e.u, e.v): (e.mark_u, e.mark_v) for e in self.edges}
-
-    def circle_count(self) -> int:
-        return sum(
-            (e.mark_u == Mark.CIRCLE) + (e.mark_v == Mark.CIRCLE) for e in self.edges
-        )
 
     def adjacencies(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset((e.u, e.v)) for e in self.edges)
@@ -106,19 +97,6 @@ class Pag:
             ],
             "conflicts": list(self.conflicts),
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "Pag":
-        vertices = tuple(map(VariableMeta.from_json_dict, payload["vertices"]))
-        edges = tuple(
-            PagEdge(e["u"], e["v"], Mark(e["mark_u"]), Mark(e["mark_v"]))
-            for e in payload["edges"]
-        )
-        sepsets = {
-            frozenset(e["pair"]): frozenset(e["separator"])
-            for e in payload.get("sepsets", [])
-        }
-        return cls(vertices, edges, sepsets, tuple(payload.get("conflicts", ())))
 
     def to_dot(self, name: str = "pag") -> str:
         lines = _dot_nodes(name, self.vertices)

@@ -299,6 +299,32 @@ class TestDiagnose:
         assert payload["details"]["path"] == str(model)
 
 
+    @pytest.mark.parametrize("target", ["table", "roles", "model", "pred"])
+    def test_input_that_is_not_utf8_is_exit_2(self, chain_files, tmp_path, capsys, target):
+        """A byte that is not UTF-8 in any input file is a typed input
+        error, not an internal failure."""
+        data, roles = chain_files
+        raw = {"table": data, "roles": roles}.get(target)
+        raw = raw.read_bytes() if raw else b'{"objective": "latency"}'
+        bad = tmp_path / f"bad-{target}"
+        bad.write_bytes(raw[:25] + b"\xff" + raw[25:])
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"faults": []}))
+        argv = {
+            "table": ["learn", "--data", bad, "--roles", roles, "--out", tmp_path],
+            "roles": ["learn", "--data", data, "--roles", bad, "--out", tmp_path],
+            "model": ["diagnose", "--data", data, "--roles", roles, "--objective",
+                      "latency", "--model", bad],
+            "pred": ["eval", "--pred", bad, "--truth", truth, "--roles", roles],
+        }[target]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "InputError" and "not UTF-8" in payload["message"]
+        assert payload["details"] == {"path": str(bad)}
+
+
 class TestRank:
     def test_ranks_each_objective(self, chain_files, tmp_path, capsys):
         data, roles = chain_files

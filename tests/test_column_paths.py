@@ -613,7 +613,7 @@ def test_plain_numeric_table_takes_the_loadtxt_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-column parser reached")
 
-    monkeypatch.setattr(dataset, "_parse_column", refuse)
+    monkeypatch.setattr(dataset, "_whole_column", refuse)
     text = "a,b\n1.5,2\n-0.25,3e2\n"
     ds = load_dataset(text, _roles({"a": _C, "b": _D}))
     assert ds.column("a").tolist() == [1.5, -0.25]

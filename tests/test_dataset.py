@@ -51,7 +51,7 @@ def loaded(tmp_path):
 def test_load_roundtrip_columns(loaded):
     assert loaded.sample_count == 4
     assert loaded.options == ("cache_mb", "retries")
-    assert loaded.metrics == ("latency", "mode")
+    assert loaded.by_role(Role.METRIC) == ("latency", "mode")
     assert loaded.objectives == ("throughput",)
     np.testing.assert_array_equal(loaded.column("cache_mb"), [64, 128, 64, 256])
     np.testing.assert_array_equal(loaded.column("retries"), [1, 0, 0, 1])
@@ -286,3 +286,52 @@ class TestSources:
         roles = json.dumps({"a": {"role": "metric", "kind": "continuous"}})
         with pytest.raises(InputError, match="No such file"):
             load_dataset("a", roles)
+
+
+class TestErrorOrder:
+    """The table is opened, the roles are parsed, the header is read and
+    checked against them, and only then are the rows read."""
+
+    @pytest.mark.parametrize(
+        "roles, message",
+        [("{not json", "not valid JSON"), ('{"a": {"role": "metric"}}', "must supply")],
+        ids=["not-json", "no-kind"],
+    )
+    def test_roles_error_comes_before_an_empty_table(self, tmp_path, roles, message):
+        empty = tmp_path / "t.csv"
+        empty.write_bytes(b"")
+        with pytest.raises(InputError, match=message):
+            load_dataset(empty, roles)
+
+    def test_missing_table_comes_before_the_roles(self, tmp_path):
+        missing = tmp_path / "t.csv"
+        with pytest.raises(InputError) as err:
+            load_dataset(missing, "{not json")
+        assert err.value.details == {"path": str(missing)}
+
+    @pytest.mark.parametrize("roles_ok", [True, False])
+    def test_bytes_that_are_not_utf8_in_a_row_come_after_the_header(
+        self, tmp_path, roles_ok
+    ):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1.5,2\n\xff,3\n")
+        names = ("a", "b") if roles_ok else ("a",)
+        roles = json.dumps({n: {"role": "metric", "kind": "continuous"} for n in names})
+        with pytest.raises(InputError) as err:
+            load_dataset(path, roles)
+        if roles_ok:
+            assert type(err.value) is InputError and "not UTF-8" in str(err.value)
+            assert err.value.details == {"path": str(path)}
+        else:
+            assert type(err.value) is MissingRole
+
+    @pytest.mark.parametrize("as_text", [False, True], ids=["file", "str"])
+    def test_carriage_return_inside_an_unquoted_cell_is_an_input_error(
+        self, tmp_path, as_text
+    ):
+        """Lines end only at ``\\n``, in a file as in a ``str``."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a\n1.5\r2\n")
+        roles = json.dumps({"a": {"role": "metric", "kind": "continuous"}})
+        with pytest.raises(InputError, match="not valid CSV"):
+            load_dataset("a\n1.5\r2\n" if as_text else path, roles)

@@ -28,9 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcause import discovery
-from confcause.dataset import Dataset, Kind, Role, VariableMeta, load_dataset
-from confcause.discovery import _FisherZTester, fci
-from confcause.effects import cpwe, learn_model, update_model
+from confcause.dataset import Dataset, Kind, Role, VariableMeta, discretize, load_dataset
+from confcause.discovery import Mark, Pag, PagEdge, _FisherZTester, fci
+from confcause.effects import ModelParams, cpwe, learn_model, update_model
+from confcause.resolve import resolve_edges
+from confcause.stats import entropy
 from confcause.synthbench import generate_scm, sample
 
 
@@ -776,14 +778,17 @@ def _assert_rename_invariant(ds, rng, max_cond_size=3):
     )
 
 
-@pytest.mark.parametrize(
+# the systems of ``test_fci_output_and_test_count_pinned``
+_PINNED_SYSTEMS = pytest.mark.parametrize(
     "args, kwargs, rows",
     [((3, 6, 1, 0.3), {}, 400), ((6, 12, 2, 0.3), {"n_latents": 1}, 3000),
      ((8, 24, 2, 0.15), {}, 2000)],
     ids=["small", "latent", "wide"],
 )
+
+
+@_PINNED_SYSTEMS
 def test_neighbour_skeleton_does_not_depend_on_names(args, kwargs, rows):
-    """The systems of ``test_fci_output_and_test_count_pinned``."""
     _assert_rename_invariant(sample(generate_scm(*args, **kwargs), rows), random.Random(0))
 
 
@@ -802,6 +807,53 @@ def test_neighbour_skeleton_does_not_depend_on_names_random(
 ):
     ds = sample(generate_scm(*shape, density, seed=seed, n_latents=latents), rows)
     _assert_rename_invariant(ds, rng, max_cond_size)
+
+
+def _renamed_pag(pag: Pag, names: dict[str, str]) -> Pag:
+    """``pag`` with its vertices renamed by ``names``, each edge's ends in
+    name order again."""
+    edges = []
+    for e in pag.edges:
+        u, v, mark_u, mark_v = names[e.u], names[e.v], e.mark_u, e.mark_v
+        if v < u:
+            u, v, mark_u, mark_v = v, u, mark_v, mark_u
+        edges.append(PagEdge(u, v, mark_u, mark_v))
+    return Pag(
+        tuple(replace(v, name=names[v.name]) for v in pag.vertices),
+        tuple(sorted(edges, key=lambda e: (e.u, e.v))),
+        {frozenset(map(names.get, pair)): frozenset(map(names.get, sep))
+         for pair, sep in pag.sepsets.items()},
+    )
+
+
+@_PINNED_SYSTEMS
+def test_edge_resolution_does_not_depend_on_names(args, kwargs, rows):
+    """``resolve_edges`` on a fixed PAG, with the PAG and the discretized
+    data renamed alike, gives the same edges once mapped back. The one
+    exception is the direction of an undecided edge whose ends have equal
+    marginal entropy, as every pair of equal-frequency-binned continuous
+    columns has: the two conditional entropies then tie exactly, and the
+    direction follows name order."""
+    ds = sample(generate_scm(*args, **kwargs), rows)
+    pag, data = fci(ds), discretize(ds, ModelParams().bins)
+    want = resolve_edges(pag, data)
+    h = {name: entropy(data, [name]) for name in data.names}
+    copied = {(Mark.TAIL, Mark.ARROW), (Mark.ARROW, Mark.TAIL), (Mark.ARROW, Mark.ARROW)}
+    tied = {frozenset((e.u, e.v)) for e in pag.edges
+            if (e.mark_u, e.mark_v) not in copied and h[e.u] == h[e.v]}
+
+    def untied(directed):
+        return {edge for edge in directed if frozenset(edge) not in tied}
+
+    rng = random.Random(0)
+    for _ in range(3):
+        renamed, names = _renamed(data, rng)
+        back = {new: old for old, new in names.items()}
+        got = resolve_edges(_renamed_pag(pag, names), renamed)
+        directed = {(back[u], back[v]) for u, v in got.directed}
+        assert untied(directed) == untied(want.directed)
+        assert set(map(frozenset, directed)) == set(map(frozenset, want.directed))
+        assert {frozenset(map(back.get, pair)) for pair in got.bidirected} == want.bidirected
 
 
 def test_stacked_partial_correlation_is_bit_identical():

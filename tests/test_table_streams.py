@@ -1,7 +1,7 @@
 """The streamed table paths checked against the whole-table code they replaced.
 
-``load_dataset`` parses an all-numeric table with ``np.loadtxt`` straight from
-the open source and falls back to the CSV reader over the whole text for
+``load_dataset`` reads the rows of an all-numeric table with ``np.loadtxt``
+from the open source and falls back to the CSV reader on the same stream for
 anything else; ``Dataset.dump_table`` writes a block of rows at a time. The
 loader is compared with its own CSV path, the writer with the whole-column
 writer it replaced, and both are held to memory bounds.
@@ -73,11 +73,15 @@ def raw_tables(draw):
 
 
 def _csv_path_load(table, roles):
-    """``load_dataset`` with the streamed path off: the CSV reader over the
-    whole text, for every table."""
+    """``load_dataset`` with the ``np.loadtxt`` rows off: the CSV reader
+    reads the rows of every table."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset, "_numeric_table", lambda *args: None)
+        mp.setattr(dataset, "_numeric_rows", lambda *args: None)
         return load_dataset(table, roles)
+
+
+def _refuse(*args):
+    raise AssertionError("per-column parser reached")
 
 
 def _outcome(load, table, roles):
@@ -115,7 +119,9 @@ def test_streamed_load_matches_the_csv_path(table):
         for source in (path, str(path)):
             _assert_same_outcome(source, roles)
         if plain:
-            assert dataset._numeric_table(path, roles) is not None
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset, "_whole_column", _refuse)
+                load_dataset(path, roles)
     text = raw.decode("utf-8", "surrogateescape")
     if "\n" in text:
         _assert_same_outcome(text, roles)
@@ -125,7 +131,6 @@ def test_streamed_load_matches_the_csv_path(table):
 def test_missing_table_file_raises_the_csv_path_error(tmp_path, as_source):
     roles = json.dumps({"a": {"role": "metric", "kind": "continuous"}})
     missing = as_source(tmp_path / "missing.csv")
-    assert dataset._numeric_table(missing, roles) is None
     _assert_same_outcome(missing, roles)
     with pytest.raises(InputError):
         load_dataset(missing, roles)
@@ -143,7 +148,8 @@ def test_missing_table_file_raises_the_csv_path_error(tmp_path, as_source):
 )
 @pytest.mark.parametrize("roles_ok", [True, False])
 def test_edge_files_match_the_csv_path(tmp_path, raw, roles_ok):
-    """Also when the roles are wrong: the table is read first, as a whole."""
+    """Also when the roles are wrong, which are checked before any row is
+    read."""
     roles = {n: {"role": "metric", "kind": "continuous"} for n in ("a", "b")}
     if not roles_ok:
         roles.pop("b")
