@@ -2,7 +2,7 @@
 systems and the ``confcause bench`` study, and write the results as one JSON
 column.
 
-    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_25.json]
+    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_27.json]
 
 Each ladder rung is ``generate_scm(options, metrics, objectives, density,
 seed=0)`` sampled with ``sample(scm, rows)``. The CSV layer writes the table
@@ -10,10 +10,12 @@ with ``Dataset.save`` and reads it back with ``load_dataset``, each three
 times and then once more under ``tracemalloc``; the rung records the fastest
 wall time of each (``dump_s``, ``load_s``), the peak of each traced run in
 MiB (``dump_peak_mib``, ``load_peak_mib``) and ``table_sha256``, the SHA-256
-of the written table. ``fci`` runs three times with its defaults; the rung
-records the fastest wall time, the four counts of the ``structure search:``
-log line, the adjacency F1 against the true graph, the learned edge count and
-``pag_sha256``, the SHA-256 of the PAG's sorted-keys JSON. The study is
+of the written table. ``fci`` runs three times with its defaults and then
+once more under ``tracemalloc``; the rung records the fastest wall time, the
+peak of the traced run in MiB (``fci_peak_mib``), the four counts of the
+``structure search:`` log line, the adjacency F1 against the true graph, the
+learned edge count and ``pag_sha256``, the SHA-256 of the PAG's sorted-keys
+JSON. The study is
 ``confcause bench`` with its defaults (``run_benchmark`` and
 ``transfer_series`` on seed 0), timed once, with the causal method's pooled
 precision, recall, F1 and false positives. When ``--out`` already
@@ -76,26 +78,31 @@ def adjacency_f1(true_directed, learned) -> float:
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
+def timed(name: str, step) -> tuple[dict, object]:
+    """The fastest of ``REPEATS`` wall times of ``step()`` and the peak MiB
+    of one more run under ``tracemalloc``, as ``{name}_s`` and
+    ``{name}_peak_mib``; and the traced run's result."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        step()
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        result = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {f"{name}_s": round(min(times), 4), f"{name}_peak_mib": round(peak / 2**20, 2)}, result
+
+
 def csv_layer(ds: Dataset) -> dict:
     """Wall times and traced peaks of writing ``ds`` and reading it back."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         table, roles = Path(tmp) / "data.csv", Path(tmp) / "roles.json"
-        for name, step in (("dump", lambda: ds.save(table, roles)),
-                           ("load", lambda: load_dataset(table, roles))):
-            times = []
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                step()
-                times.append(time.perf_counter() - start)
-            tracemalloc.start()
-            try:
-                step()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            out[f"{name}_s"] = round(min(times), 4)
-            out[f"{name}_peak_mib"] = round(peak / 2**20, 2)
+        out.update(timed("dump", lambda: ds.save(table, roles))[0])
+        out.update(timed("load", lambda: load_dataset(table, roles))[0])
         out["table_sha256"] = hashlib.sha256(table.read_bytes()).hexdigest()
     return out
 
@@ -107,19 +114,15 @@ def rung(options: int, metrics: int, objectives: int, density: float, rows: int)
     handler, logger = _LastMessage(), logging.getLogger("confcause.discovery")
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
-    times = []
     try:
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            pag = fci(ds)
-            times.append(time.perf_counter() - start)
+        search, pag = timed("fci", lambda: fci(ds))
     finally:
         logger.removeHandler(handler)
     counts = SEARCH_LINE.search(handler.message)
     return {
         "shape": [options, metrics, objectives, density, rows],
         **layer,
-        "fci_s": round(min(times), 4),
+        **search,
         **{name: int(value) for name, value in counts.groupdict().items() if name != "vertices"},
         "adj_f1": round(adjacency_f1(scm.graph.directed, pag.adjacencies()), 4),
         "true_edges": len(scm.graph.directed),

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -127,10 +127,6 @@ class Dataset:
     @property
     def objectives(self) -> tuple[str, ...]:
         return self.by_role(Role.OBJECTIVE)
-
-    def matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Stack the named columns as float64, shape (sample_count, len(names))."""
-        return np.column_stack([self.column(n).astype(np.float64) for n in names])
 
     # -- construction helpers ----------------------------------------------
 

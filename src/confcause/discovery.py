@@ -31,9 +31,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, Role, VariableMeta
-from .errors import EmptyDataset, InputError, UnknownVariable
+from .errors import EmptyDataset, InputError, InsufficientSamples, UnknownVariable
 from .stats import (_DECISION_BAND, _SCHUR_SLACK, _SCREEN_LIMIT, _critical_rho,
-                    _fisher_z_independent, _schur_partial_corrs, partial_corrs_from_covs)
+                    _fisher_z_independent, _schur_partial_corrs, covariance,
+                    partial_corrs_from_covs)
 
 logger = logging.getLogger(__name__)
 
@@ -252,10 +253,10 @@ def _combos(n: int, k: int) -> np.ndarray:
 
 
 class _FisherZTester:
-    """Fisher-z tests against a covariance matrix computed once per dataset.
+    """Fisher-z tests against ``cov``, the covariance of ``n`` rows of the
+    variables ``names``, given sorted and numbered in that order (``index``).
 
-    Variables are numbered in sorted-name order (``names``, ``index``), and
-    a query is a row of column indices: the pair x < y, then the
+    A query is a row of column indices: the pair x < y, then the
     conditioning set in increasing order. ``counts`` are those of a search
     that tests one set at a time, in order, until one separates the pair:
     the tests that produced a statistic, the untestable ones (singular
@@ -265,17 +266,13 @@ class _FisherZTester:
     queries whose answers they keep.
     """
 
-    def __init__(self, ds: Dataset, alpha: float) -> None:
+    def __init__(self, names: Sequence[str], n: int, cov: np.ndarray, alpha: float) -> None:
         self.alpha = float(alpha)
-        self.n = ds.sample_count
-        self.names = tuple(sorted(ds.names))
+        self.n = n
+        self.names = tuple(names)
         self.index = {name: i for i, name in enumerate(self.names)}
-        position = {name: i for i, name in enumerate(ds.names)}
-        order = [position[name] for name in self.names]
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
-        self._cov = cov[np.ix_(order, order)]
-        self._constant = np.diagonal(self._cov) == 0.0
+        self._cov = cov
+        self._constant = np.diagonal(cov) == 0.0
         self.counts = np.zeros(3, dtype=np.int64)  # tests, untestable, inverted
 
     def first_separators(
@@ -830,6 +827,9 @@ def fci(
     """
     if ds.sample_count == 0:
         raise EmptyDataset("no rows to learn a structure from")
+    if ds.sample_count <= 3:
+        raise InsufficientSamples(f"{ds.sample_count} rows are too few for a Fisher-z "
+                                  "test, which needs at least 4", rows=ds.sample_count)
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}", alpha=alpha)
     if max_cond_size < 0:
@@ -838,16 +838,28 @@ def fci(
             max_cond_size=max_cond_size,
         )
     ds.require_role_coverage()
-    sc = build_constraints(ds.variables)
-    # a finite variance bounds every covariance of the column (Cauchy-Schwarz)
+    # filled in table order, so that every entry equals numpy.cov's; then sorted
+    names = tuple(sorted(ds.names))
+    order = sorted(range(len(names)), key=ds.names.__getitem__)
     with np.errstate(over="ignore", invalid="ignore"):
-        overflown = [n for n in sorted(ds.names) if not np.isfinite(np.var(ds.column(n)))]
+        cov = covariance(ds, ds.names)[np.ix_(order, order)]
+    # a finite variance bounds every covariance of its column (Cauchy-Schwarz)
+    overflown = [name for name, var in zip(names, np.diagonal(cov)) if not np.isfinite(var)]
     if overflown:
         raise InputError(
             f"the variance of {', '.join(overflown)} overflows; rescale those columns",
             columns=overflown,
         )
-    tester = _FisherZTester(ds, alpha)
+    return _search(_FisherZTester(names, ds.sample_count, cov, alpha), ds.variables,
+                   max_cond_size, warm_adjacencies, warm_sepsets)
+
+
+def _search(tester: _FisherZTester, variables: tuple[VariableMeta, ...], max_cond_size: int,
+            warm_adjacencies: Iterable[frozenset[str]] | None = None,
+            warm_sepsets: Mapping[frozenset[str], frozenset[str]] | None = None) -> Pag:
+    """``fci``'s search over ``variables``, its input checked, with ``tester``
+    or any object of its interface answering every CI query."""
+    sc = build_constraints(variables)
     names, index = tester.names, tester.index
     sepsets: dict[frozenset[str], frozenset[str]] = {}
 
@@ -889,7 +901,7 @@ def fci(
         "%d untestable queries, %d CI tests",
         len(names), len(edges), *tester.counts[::-1].tolist(),
     )
-    return Pag(ds.variables, edges, dict(sepsets), tuple(dict.fromkeys(g.conflicts)))
+    return Pag(variables, edges, dict(sepsets), tuple(dict.fromkeys(g.conflicts)))
 
 
 def _retest_separated_pairs(

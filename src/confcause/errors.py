@@ -77,7 +77,7 @@ class SchemaMismatch(InputError):
 
 # --- stats ---------------------------------------------------------------
 
-class InsufficientSamples(EngineError):
+class InsufficientSamples(InputError):
     """Too few rows for the requested conditioning-set size."""
 
 

@@ -1,9 +1,9 @@
 """Resolution of undecided edge marks into a mixed causal graph.
 
 A discovered graph usually keeps circle marks where the data could not settle
-an orientation. Each such edge is resolved by an information argument: if a
-latent variable small enough (entropy below a fraction of the less complex
-endpoint) could explain the dependence as pure confounding, the edge becomes
+an orientation. Each such edge is resolved by an information argument: if the
+exogenous noise of the pair's function (``stats.min_entropy_latent``) needs
+fewer bits than a fraction of the less complex endpoint, the edge becomes
 bidirected; otherwise the functional direction with the lower residual
 complexity wins — the edge points from the endpoint whose conditional
 entropy of the other is smaller. The output is an acyclic directed mixed
@@ -192,12 +192,14 @@ def resolve_edges(
     edge using entropies computed on ``ds`` (which must be fully discrete),
     under the role constraints of ``pag.vertices``.
 
-    Decided marks are copied verbatim. For each edge with a circle end, the
-    minimum latent entropy H(Z) that could explain the pair as confounding is
-    compared against ``theta_ratio * min(H(u), H(v))``: strictly below means
-    bidirected, otherwise the direction with the smaller conditional entropy
-    of effect given cause is emitted. Constraint- or cycle-violating emissions
-    are repaired (reversed, else demoted to bidirected) and logged.
+    Decided marks are copied verbatim. For each edge u - v (u < v) with a
+    circle end, ``min_entropy_latent``'s H(E), E the smallest exogenous
+    noise with v = f(u, E), is compared against ``theta_ratio * min(H(u),
+    H(v))``: strictly below means bidirected, otherwise the direction with
+    the smaller conditional entropy of effect given cause is emitted; a tie
+    emits v -> u, and with equal-frequency bins every edge between two
+    continuous columns ties. Constraint- or cycle-violating emissions are
+    repaired (reversed, else demoted to bidirected) and logged.
     """
     if not theta_ratio > 0.0:
         raise InputError(

@@ -156,6 +156,20 @@ class TestLearn:
         assert payload["details"] == {"columns": ["hits"]}
         assert not (tmp_path / "out").exists()
 
+    def test_table_of_three_rows_is_exit_2(self, chain_files, tmp_path, capsys):
+        data, roles = chain_files
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(data.read_text().splitlines()[:4]) + "\n")
+        code, _, err = run(
+            ["learn", "--data", short, "--roles", roles, "--out", tmp_path / "out"],
+            capsys,
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InsufficientSamples"
+        assert payload["details"] == {"rows": 3}
+        assert not (tmp_path / "out").exists()
+
 class TestDiagnose:
     def test_causal_method_names_the_origin(self, chain_files, tmp_path, capsys):
         data, roles = chain_files

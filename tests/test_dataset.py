@@ -187,12 +187,6 @@ def test_variable_without_a_column_is_named():
     assert "'m'" in str(err.value)
 
 
-def test_matrix_column_order(loaded):
-    mat = loaded.matrix(("latency", "throughput"))
-    np.testing.assert_array_equal(mat[:, 0], loaded.column("latency"))
-    np.testing.assert_array_equal(mat[:, 1], loaded.column("throughput"))
-
-
 class TestDiscretize:
     def _continuous(self, values):
         meta = (VariableMeta("x", Role.METRIC, Kind.CONTINUOUS),)

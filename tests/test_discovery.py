@@ -23,8 +23,10 @@ from confcause.discovery import (
     fci,
 )
 from confcause.effects import learn_model, update_model
-from confcause.errors import InputError, MissingRole, UnknownVariable
+from confcause.errors import (EmptyDataset, InputError, InsufficientSamples, MissingRole,
+                              UnknownVariable)
 from confcause.resolve import Admg
+from confcause.stats import covariance
 from confcause.synthbench import Mechanism, generate_scm, sample, scm_from_mechanisms
 
 N = 20000
@@ -218,6 +220,24 @@ def test_overflowing_column_rejected():
     assert err.value.details == {"columns": ["m2"]}
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2, 3])
+def test_three_rows_or_fewer_rejected(rows):
+    """No Fisher-z test runs on three rows or fewer: the search names the
+    count instead of returning a model that no test shaped. A table with no
+    rows stays an empty dataset."""
+    four = sample(generate_scm(2, 3, 1, 0.5, seed=0), 4)
+    ds = Dataset(four.variables, {k: v[:rows] for k, v in four.columns.items()}, rows)
+    if not rows:
+        with pytest.raises(EmptyDataset):
+            fci(ds)
+        return
+    with pytest.raises(InsufficientSamples) as err:
+        fci(ds)
+    assert isinstance(err.value, InputError)
+    assert err.value.details == {"rows": rows} and f"{rows} rows" in str(err.value)
+    assert fci(four).sepsets  # four rows test the empty set
+
+
 def test_role_coverage_required():
     variables = (
         _meta("o", Role.OPTION, Kind.DISCRETE),
@@ -400,6 +420,12 @@ def _copied_metric(ds, source, name):
     )
 
 
+def _tester(ds):
+    """The CI tester on the covariance of ``ds``, in sorted-name order."""
+    names = sorted(ds.names)
+    return _FisherZTester(names, ds.sample_count, covariance(ds, names), 0.05)
+
+
 def _first_separator(tester, x, y, subsets):
     """The engine's first separating set among same-size ``subsets``."""
     rows = np.array(
@@ -412,7 +438,7 @@ def _first_separator(tester, x, y, subsets):
 
 def test_queries_counted_once_per_reached_set():
     ds = _copied_metric(sample(chain_system(seed=3), 2000), "m", "m2")
-    tester = _FisherZTester(ds, 0.05)
+    tester = _tester(ds)
     assert _first_separator(tester, "o", "y", [("m", "m2")]) is None
     assert _first_separator(tester, "o", "y", [("m",)]) == 0
     assert tester.counts[:2].tolist() == [1, 1]
@@ -426,12 +452,12 @@ def test_queries_counted_once_per_reached_set():
         {**ds.columns, "k": np.full(ds.sample_count, 2.0)},
         ds.sample_count,
     )
-    tester = _FisherZTester(flat, 0.05)
+    tester = _tester(flat)
     assert _first_separator(tester, "k", "y", [("m",)]) == 0  # constant, not untestable
     assert tester.counts[:2].tolist() == [0, 0]
 
     few = Dataset(ds.variables, {k: v[:5] for k, v in ds.columns.items()}, 5)
-    tester = _FisherZTester(few, 0.05)
+    tester = _tester(few)
     assert _first_separator(tester, "o", "y", [("m", "m2")]) is None
     assert any(_first_separator(tester, "o", "y", [s]) == 0 for s in [("m",), ()])
     assert tester.counts[1] == 1  # five rows cannot condition on two

@@ -1,5 +1,6 @@
 """The structure search checked by meaning: with every CI test answered by
-m-separation in the generating model, ``fci`` must return a sound PAG.
+m-separation in the generating model, the search must return a sound PAG,
+and one that does not depend on the variables' names.
 
 The oracle tester (``tests/oracle.py``) answers from ``scm.graph``, with
 each bidirected edge taken as a latent parent of its two endpoints.
@@ -10,16 +11,17 @@ are not part of the search.
 """
 
 import itertools
-from unittest import mock
+import random
+from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcause import discovery
-from confcause.dataset import Dataset, Role
-from confcause.discovery import Mark, fci
+from confcause.dataset import Role
+from confcause.discovery import Mark
+from confcause.resolve import Admg
 from confcause.synthbench import generate_scm
 
 from oracle import OracleTester
@@ -27,10 +29,7 @@ from oracle import OracleTester
 
 def _oracle_pag(scm):
     oracle = OracleTester(scm.graph)
-    # fci reads only the variables of its dataset when the tester is the oracle
-    blank = Dataset(scm.variables, {v.name: np.zeros(1) for v in scm.variables}, 1)
-    with mock.patch.object(discovery, "_FisherZTester", lambda ds, alpha: oracle):
-        pag = fci(blank, max_cond_size=len(scm.variables))
+    pag = discovery._search(oracle, scm.variables, len(scm.variables))
     return pag, oracle
 
 
@@ -99,3 +98,46 @@ def test_oracle_search_is_sound(n_options, n_metrics, n_objectives, density,
     scm = generate_scm(n_options, n_metrics, n_objectives, density,
                        seed=seed, n_latents=n_latents)
     _assert_sound(scm)
+
+
+def _renamed_graph(graph: Admg, rng: random.Random) -> tuple[Admg, dict[str, str]]:
+    """The graph with its vertices renamed by a permutation within each
+    role, and the renaming."""
+    names = {}
+    for role in Role:
+        same = [v.name for v in graph.vertices if v.role == role]
+        names.update(zip(same, rng.sample(same, len(same))))
+    return Admg(
+        tuple(replace(v, name=names[v.name]) for v in graph.vertices),
+        frozenset((names[u], names[v]) for u, v in graph.directed),
+        frozenset(frozenset(map(names.get, pair)) for pair in graph.bidirected),
+    ), names
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_options=st.integers(1, 3),
+    n_metrics=st.integers(1, 5),
+    n_objectives=st.integers(1, 2),
+    density=st.sampled_from([0.3, 0.5, 0.8]),
+    n_latents=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+    renaming=st.integers(0, 2**16),
+)
+def test_oracle_search_does_not_depend_on_names(n_options, n_metrics, n_objectives, density,
+                                                n_latents, seed, renaming):
+    """Renaming the variables within their roles, and mapping the names of
+    the searched PAG back, gives the same adjacencies and marks: with perfect
+    test answers, the order the search takes names in decides nothing."""
+    n_metrics = min(n_metrics, 8 - n_options - n_objectives)
+    graph = generate_scm(n_options, n_metrics, n_objectives, density,
+                         seed=seed, n_latents=n_latents).graph
+    renamed, names = _renamed_graph(graph, random.Random(renaming))
+    back = {new: old for old, new in names.items()}
+    want = discovery._search(OracleTester(graph), graph.vertices, len(graph.vertices))
+    got = discovery._search(OracleTester(renamed), renamed.vertices, len(graph.vertices))
+    marks = {}
+    for (u, v), (mark_u, mark_v) in got.edge_marks().items():
+        u, v = back[u], back[v]
+        marks[(u, v) if u < v else (v, u)] = (mark_u, mark_v) if u < v else (mark_v, mark_u)
+    assert marks == want.edge_marks()

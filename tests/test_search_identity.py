@@ -32,7 +32,7 @@ from confcause.dataset import Dataset, Kind, Role, VariableMeta, discretize, loa
 from confcause.discovery import Mark, Pag, PagEdge, _FisherZTester, fci
 from confcause.effects import ModelParams, cpwe, learn_model, update_model
 from confcause.resolve import resolve_edges
-from confcause.stats import entropy
+from confcause.stats import covariance, entropy
 from confcause.synthbench import generate_scm, sample
 
 
@@ -173,7 +173,8 @@ class _SequentialTester:
         self.names = tuple(sorted(ds.names))
         self.index = {name: i for i, name in enumerate(self.names)}
         self._position = {name: i for i, name in enumerate(ds.names)}
-        self._cov = np.atleast_2d(np.cov(ds.matrix(ds.names), rowvar=False))
+        table = np.column_stack([ds.column(name) for name in ds.names])
+        self._cov = np.atleast_2d(np.cov(table, rowvar=False))
         self.counts = np.zeros(3, dtype=np.int64)  # tests, untestable, inverted
 
     def _test(self, x, y, cond):
@@ -206,6 +207,15 @@ class _SequentialTester:
         return None
 
 
+def _engine(ds: Dataset, alpha: float = 0.05) -> _FisherZTester:
+    """The tester ``fci`` builds on ``ds``: the covariance in the table's
+    column order, permuted into sorted-name order."""
+    names = sorted(ds.names)
+    order = sorted(range(len(names)), key=ds.names.__getitem__)
+    cov = covariance(ds, ds.names)[np.ix_(order, order)]
+    return _FisherZTester(names, ds.sample_count, cov, alpha)
+
+
 def _counts(tester) -> tuple[int, int, int]:
     return tuple(tester.counts.tolist())
 
@@ -232,7 +242,7 @@ def _engine_first_independent(engine, x, y, subsets):
 def _check_against_reference(ds, queries):
     """Run the same queries through the engine and through the sequential
     reference; indices and counts must agree after each query."""
-    engine = _FisherZTester(ds, 0.05)
+    engine = _engine(ds)
     ref = _SequentialTester(ds, 0.05)
     hits = []
     for x, y, subsets in queries:
@@ -306,7 +316,7 @@ def test_engine_batches_and_repeats_within_a_call(monkeypatch):
     and a repeated set is counted each time it is reached."""
     monkeypatch.setattr(discovery, "_STACK_CAP", 3)
     ds = _engine_dataset(400, seed=2)
-    engine, ref = _FisherZTester(ds, 0.05), _SequentialTester(ds, 0.05)
+    engine, ref = _engine(ds), _SequentialTester(ds, 0.05)
     queries = [
         ("a", "b", [("e",), ("g",), ("e",), ("f",), ("c",), ("d",)]),
         ("a", "e", [("b",), ("c",), ("f",)]),
@@ -341,7 +351,7 @@ def test_engine_hits_and_counts_do_not_depend_on_the_call(monkeypatch):
         return kernel(cov, rows)
 
     monkeypatch.setattr(discovery, "_schur_partial_corrs", schur)
-    index = _FisherZTester(ds, 0.05).index
+    index = _engine(ds).index
     queries = [
         np.array([[index[v] for v in (x, y, *cond)]
                   for cond in itertools.combinations(sorted(set(names) - {x, y}), 2)])
@@ -350,7 +360,7 @@ def test_engine_hits_and_counts_do_not_depend_on_the_call(monkeypatch):
 
     def run(group):
         """Hits relative to each query's start, and the counts, of one call."""
-        engine = _FisherZTester(ds, 0.05)
+        engine = _engine(ds)
         stops = np.cumsum([len(q) for q in group]).tolist()
         hits, tallies = engine.first_separators(np.concatenate(group), stops)
         engine.counts += tallies.sum(axis=0)
@@ -497,16 +507,11 @@ def _sequential_retest(tester, adj, sepsets, sc, max_cond_size, warm_sepsets):
 
 
 def _search(ds, max_cond_size, sequential, warm=None, warm_sepsets=None):
-    """``fci`` with the batched engine, or with the sequential tester and
-    search phases; returns the PAG and the tester it used. The engine's
-    stacks, on the exact route and the Schur kernel, must stay within the
-    cap."""
-    testers = []
-    engine = _SequentialTester if sequential else _FisherZTester
-
-    def recording(*args):
-        testers.append(engine(*args))
-        return testers[-1]
+    """``fci``'s search with the batched engine, or with the sequential
+    tester and search phases; returns the PAG and the tester it used. The
+    engine's stacks, on the exact route and the Schur kernel, must stay
+    within the cap."""
+    tester = _SequentialTester(ds, 0.05) if sequential else _engine(ds)
 
     def capped(route):
         def call(*args):  # the stack is the last argument of either route
@@ -515,18 +520,14 @@ def _search(ds, max_cond_size, sequential, warm=None, warm_sepsets=None):
         return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(discovery, "_FisherZTester", recording)
         for route in ("partial_corrs_from_covs", "_schur_partial_corrs"):
             mp.setattr(discovery, route, capped(getattr(discovery, route)))
         if sequential:
             mp.setattr(discovery, "_prune_by_neighbors", _sequential_prune_by_neighbors)
             mp.setattr(discovery, "_pdsep_prune", _sequential_pdsep_prune)
             mp.setattr(discovery, "_retest_separated_pairs", _sequential_retest)
-        pag = fci(
-            ds, max_cond_size=max_cond_size,
-            warm_adjacencies=warm, warm_sepsets=warm_sepsets,
-        )
-    return pag, testers[0]
+        pag = discovery._search(tester, ds.variables, max_cond_size, warm, warm_sepsets)
+    return pag, tester
 
 
 def _assert_same_search(ds, max_cond_size, warm=None, warm_sepsets=None):
@@ -630,8 +631,7 @@ def _retested(engine, retest, ds, previous, max_cond_size):
 
 def _assert_same_retest(ds, previous, max_cond_size):
     want = _retested(_SequentialTester, _sequential_retest, ds, previous, max_cond_size)
-    got = _retested(_FisherZTester, discovery._retest_separated_pairs, ds, previous,
-                    max_cond_size)
+    got = _retested(_engine, discovery._retest_separated_pairs, ds, previous, max_cond_size)
     assert (got[0] == want[0]).all() and got[1] == want[1]
     assert _counts(got[2])[:2] == _counts(want[2])[:2]
     return got
@@ -760,7 +760,7 @@ def _renamed(ds: Dataset, rng) -> tuple[Dataset, dict[str, str]]:
 def _neighbour_skeleton(ds: Dataset, max_cond_size: int) -> set[frozenset[str]]:
     """The adjacencies ``_prune_by_neighbors`` leaves of the role-allowed
     complete graph."""
-    tester = _FisherZTester(ds, 0.05)
+    tester = _engine(ds)
     sc = discovery.build_constraints(ds.variables)
     adj = np.array([[u != v and sc.allows_adjacency(u, v) for v in tester.names]
                     for u in tester.names])

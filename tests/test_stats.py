@@ -20,6 +20,7 @@ from confcause.stats import (
     _fisher_z_independent,
     _schur_partial_corrs,
     conditional_entropy,
+    covariance,
     entropy,
     fisher_z_test,
     greedy_coupling,
@@ -36,6 +37,11 @@ def _dataset(**cols):
     )
     n = len(next(iter(cols.values())))
     return Dataset(variables, {k: np.asarray(v, dtype=float) for k, v in cols.items()}, n)
+
+
+def _tester(ds, alpha=0.05):
+    """The CI tester on the covariance of ``ds``, whose names are sorted."""
+    return _FisherZTester(ds.names, ds.sample_count, covariance(ds, ds.names), alpha)
 
 
 def _discrete_dataset(**cols):
@@ -459,8 +465,7 @@ def _block_tester(blocks, n, alpha=0.05):
     ``blocks``, and one (x, y, *z) row per block of one size."""
     cov = scipy.linalg.block_diag(*blocks)
     names = [f"v{i:03d}" for i in range(cov.shape[0])]
-    tester = _FisherZTester(_dataset(**{v: np.zeros(n) for v in names}), alpha)
-    tester._cov, tester._constant = cov, np.diagonal(cov) == 0.0
+    tester = _FisherZTester(names, n, cov, alpha)
     starts = np.cumsum([0] + [b.shape[0] for b in blocks[:-1]])
     return tester, starts[:, None] + np.arange(blocks[0].shape[0])
 
@@ -488,7 +493,7 @@ class TestSchurKernel:
         rng = np.random.default_rng(k)
         data = rng.standard_normal((800, 10)) @ (np.eye(10) + 0.3 * rng.standard_normal((10, 10)))
         ds = _dataset(**{f"c{i}": data[:, i] for i in range(10)})
-        tester = _FisherZTester(ds, 0.05)
+        tester = _tester(ds)
         got, want, _ = _routes(tester, _data_rows(tester, ds.names, k, rng, 300))
         assert got == want
         assert {0, 1} <= set(want)
@@ -503,7 +508,7 @@ class TestSchurKernel:
         for e in np.linspace(4.0, 7.0, 7):
             cols[f"n{e:.1f}"] = base[:, 0] + 10.0 ** -e * rng.standard_normal(2000)
         ds = _dataset(**cols)
-        tester = _FisherZTester(ds, 0.05)
+        tester = _tester(ds)
         for k in (1, 2, 3):
             got, want, inverted = _routes(tester, _data_rows(tester, ds.names, k, rng, 400))
             assert got == want
@@ -545,7 +550,7 @@ class TestSchurKernel:
         cols["inf"][7] = np.inf
         ds = _dataset(**cols)
         with np.errstate(all="ignore"):
-            tester = _FisherZTester(ds, 0.05)
+            tester = _tester(ds)
         for k in (1, 2):
             got, want, inverted = _routes(tester, _data_rows(tester, ds.names, k, rng, 300))
             assert got == want
@@ -558,7 +563,7 @@ class TestSchurKernel:
         cols = {f"b{i}": rng.standard_normal(300) for i in range(5)}
         cols["k1"], cols["k2"] = np.full(300, 3.0), np.zeros(300)
         ds = _dataset(**cols)
-        tester = _FisherZTester(ds, 0.05)
+        tester = _tester(ds)
         for k in (1, 2, 3):
             got, want, inverted = _routes(tester, _data_rows(tester, ds.names, k, rng, 300))
             assert got == want
@@ -574,7 +579,7 @@ class TestSchurKernel:
             cols = {f"c{i}": rng.standard_normal(n) for i in range(k + 4)}
             cols["copy"] = cols["c0"].copy()
             ds = _dataset(**cols)
-            tester = _FisherZTester(ds, 0.05)
+            tester = _tester(ds)
             got, want, exact = _routes(tester, _data_rows(tester, ds.names, k, rng, 100))
             assert got == want
             if n <= k + 3:
@@ -610,3 +615,45 @@ class TestSchurKernel:
         real = np.linalg.cond(np.stack(blocks))
         ok = bound < _SCREEN_LIMIT  # certified where the kernel may decide
         assert (bound[ok] >= real[ok] * (1 - 1e-6)).all()
+
+
+# --------------------------------------------------------------------------
+# the covariance against np.cov
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(2, 200),
+    kinds=st.lists(st.sampled_from(["float", "int", "constant", "huge"]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_covariance_equals_np_cov(rows, kinds, seed):
+    """One float64 copy, centred in place, gives np.cov's bytes on int64
+    and float64 columns, constant ones, and columns with cells near 1e200,
+    whose products overflow; where an entry is not finite, the NaNs and
+    infinities sit where np.cov's do."""
+    rng = np.random.default_rng(seed)
+    cols, variables = {}, []
+    for i, kind in enumerate(kinds):
+        if kind == "int":
+            col = rng.integers(-1000, 1000, rows)
+        elif kind == "constant":
+            col = np.full(rows, rng.standard_normal() * 10.0 ** rng.uniform(-3, 3))
+        else:
+            col = rng.standard_normal(rows) * 10.0 ** rng.uniform(-3, 3)
+            if kind == "huge":
+                col[rng.integers(rows, size=rng.integers(1, 4))] = rng.uniform(-2, 2) * 1e200
+        cols[f"c{i}"] = col
+        variables.append(VariableMeta(f"c{i}", Role.METRIC,
+                                      Kind.DISCRETE if kind == "int" else Kind.CONTINUOUS))
+    ds = Dataset(tuple(variables), cols, rows)
+    names = [ds.names[i] for i in rng.permutation(len(kinds))]
+    with np.errstate(all="ignore"):
+        got = covariance(ds, names)
+        want = np.atleast_2d(np.cov(np.column_stack([cols[n] for n in names]), rowvar=False))
+    assert got.shape == want.shape == (len(kinds), len(kinds))
+    if np.isfinite(want).all():
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert (np.isnan(got) == np.isnan(want)).all()
+        assert (np.isinf(got) == np.isinf(want)).all()
