@@ -2,7 +2,7 @@
 systems and the ``confcause bench`` study, and write the results as one JSON
 column.
 
-    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_27.json]
+    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_29.json]
 
 Each ladder rung is ``generate_scm(options, metrics, objectives, density,
 seed=0)`` sampled with ``sample(scm, rows)``. The CSV layer writes the table
@@ -15,13 +15,20 @@ once more under ``tracemalloc``; the rung records the fastest wall time, the
 peak of the traced run in MiB (``fci_peak_mib``), the four counts of the
 ``structure search:`` log line, the adjacency F1 against the true graph, the
 learned edge count and ``pag_sha256``, the SHA-256 of the PAG's sorted-keys
-JSON. The study is
-``confcause bench`` with its defaults (``run_benchmark`` and
+JSON. The traced run's PAG is then resolved with ``resolve_edges`` on
+``discretize(ds, 5)``; the rung records ``model_sha256``, the SHA-256 of the
+model's sorted-keys JSON, and ``entropy_ties``, the circle-marked edges whose
+endpoints have equal entropy there: resolution orients each of them by name
+order unless it makes the edge bidirected.
+The study is ``confcause bench`` with its defaults (``run_benchmark`` and
 ``transfer_series`` on seed 0), timed once, with the causal method's pooled
-precision, recall, F1 and false positives. When ``--out`` already
-holds other columns, the new one is written next to them. ``--check FILE``
-exits 1 when a rung's ``pag_sha256`` or ``edges`` differs from FILE's
-``change`` column; times and counts are not compared.
+precision, recall, F1 and false positives. When ``--out`` already holds
+other columns, the new one is written next to them. ``--check FILE`` exits 1
+when a rung's ``pag_sha256``, ``edges``, ``ci_tests``, ``untestable``,
+``table_sha256`` or ``model_sha256``, or the study's ``precision``,
+``recall``, ``f1`` or ``fp``, differs from FILE's ``change`` column, each
+where that column has it. Times, peaks and ``sets_inverted`` are not
+compared: they depend on how the search stacks its queries.
 """
 
 from __future__ import annotations
@@ -45,8 +52,10 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from confcause import __version__  # noqa: E402
-from confcause.dataset import Dataset, load_dataset  # noqa: E402
-from confcause.discovery import fci  # noqa: E402
+from confcause.dataset import Dataset, discretize, load_dataset  # noqa: E402
+from confcause.discovery import Mark, fci  # noqa: E402
+from confcause.resolve import resolve_edges  # noqa: E402
+from confcause.stats import entropy  # noqa: E402
 from confcause.synthbench import generate_scm, run_benchmark, sample, transfer_series  # noqa: E402
 
 # name: (options, metrics, objectives, density, rows)
@@ -76,6 +85,11 @@ def adjacency_f1(true_directed, learned) -> float:
     precision = hits / len(learned) if learned else 1.0
     recall = hits / len(truth) if truth else 1.0
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
+def sha256_json(record) -> str:
+    """The SHA-256 of ``record.to_json_dict()`` as sorted-keys JSON."""
+    return hashlib.sha256(json.dumps(record.to_json_dict(), sort_keys=True).encode()).hexdigest()
 
 
 def timed(name: str, step) -> tuple[dict, object]:
@@ -119,6 +133,11 @@ def rung(options: int, metrics: int, objectives: int, density: float, rows: int)
     finally:
         logger.removeHandler(handler)
     counts = SEARCH_LINE.search(handler.message)
+    disc = discretize(ds, 5)
+    ties = sum(
+        Mark.CIRCLE in (e.mark_u, e.mark_v) and entropy(disc, [e.u]) == entropy(disc, [e.v])
+        for e in pag.edges
+    )
     return {
         "shape": [options, metrics, objectives, density, rows],
         **layer,
@@ -126,9 +145,9 @@ def rung(options: int, metrics: int, objectives: int, density: float, rows: int)
         **{name: int(value) for name, value in counts.groupdict().items() if name != "vertices"},
         "adj_f1": round(adjacency_f1(scm.graph.directed, pag.adjacencies()), 4),
         "true_edges": len(scm.graph.directed),
-        "pag_sha256": hashlib.sha256(
-            json.dumps(pag.to_json_dict(), sort_keys=True).encode()
-        ).hexdigest(),
+        "pag_sha256": sha256_json(pag),
+        "model_sha256": sha256_json(resolve_edges(pag, disc)),
+        "entropy_ties": ties,
     }
 
 
@@ -145,15 +164,26 @@ def study() -> dict:
     }
 
 
-def differences(ladder: dict, reference: Path) -> list[str]:
-    """The rungs whose PAG digest or edge count differ from the ``change``
-    column of ``reference``."""
-    want = json.loads(reference.read_text())["change"]["ladder"]
-    return [
-        f"{name}: {key} {want.get(name, {}).get(key)} -> {got[key]}"
-        for name, got in ladder.items() for key in ("pag_sha256", "edges")
-        if want.get(name, {}).get(key) != got[key]
+def differences(column: dict, reference: Path) -> list[str]:
+    """Each checked value of ``column`` that differs from the ``change``
+    column of ``reference``, where that column has the key; and each rung
+    that it lacks. Times, peaks and ``sets_inverted`` are not checked."""
+    want = json.loads(reference.read_text())["change"]
+    rung_keys = ("pag_sha256", "edges", "ci_tests", "untestable", "table_sha256", "model_sha256")
+    records = [("study", want.get("study"), column["study"], ("precision", "recall", "f1", "fp"))]
+    records += [
+        (name, want["ladder"].get(name), got, rung_keys) for name, got in column["ladder"].items()
     ]
+    found = []
+    for label, ref, got, keys in records:
+        if ref is None:
+            found.append(f"{label}: not in {reference}")
+            continue
+        found += [
+            f"{label}: {key} {ref[key]} -> {got[key]}"
+            for key in keys if key in ref and ref[key] != got[key]
+        ]
+    return found
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write the column to")
     parser.add_argument("--column", default="results", help="name of the column")
     parser.add_argument("--check", type=Path, metavar="FILE",
-                        help="exit 1 when a rung's PAG or edge count differs from FILE's")
+                        help="exit 1 when a digest, count or study score differs from FILE's")
     args = parser.parse_args(argv)
     column = {
         "environment": {
@@ -178,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(columns, indent=2, sort_keys=True) + "\n")
     print(json.dumps({args.column: column}, indent=2, sort_keys=True))
     if args.check:
-        changed = differences(column["ladder"], args.check)
+        changed = differences(column, args.check)
         for line in changed:
             print(f"differs from {args.check}: {line}", file=sys.stderr)
         return 1 if changed else 0

@@ -251,13 +251,6 @@ def _parse_roles(text: str) -> dict[str, tuple[Role, Kind]]:
     return out
 
 
-def _non_finite(token: str, var: str, row: int) -> NonNumericCell:
-    return NonNumericCell(
-        f"cell {token!r} in column {var!r} (row {row}) is not finite",
-        variable=var, row=row, value=token,
-    )
-
-
 def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int:
     """Parse one trimmed cell; categorical handled by the caller. Raises
     NonNumericCell on failure, including on ``nan`` and ``inf``, which would
@@ -267,16 +260,17 @@ def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int:
 
     This is the reference for :func:`_whole_column`; ``load_dataset`` runs
     it only on a column that function rejects."""
+    def bad(why: str) -> NonNumericCell:
+        message = f"cell {token!r} in column {var!r} (row {row}) is {why}"
+        return NonNumericCell(message, variable=var, row=row, value=token)
+
     if kind == Kind.CONTINUOUS:
         try:
             value = float(token)
         except ValueError:
-            raise NonNumericCell(
-                f"cell {token!r} in column {var!r} (row {row}) is not numeric",
-                variable=var, row=row, value=token,
-            ) from None
+            raise bad("not numeric") from None
         if not math.isfinite(value):
-            raise _non_finite(token, var, row)
+            raise bad("not finite")
         return value
     if kind == Kind.DISCRETE:
         try:
@@ -285,33 +279,20 @@ def _parse_cell(token: str, kind: Kind, var: str, row: int) -> float | int:
             try:
                 value = float(token)
             except ValueError:
-                raise NonNumericCell(
-                    f"cell {token!r} in column {var!r} (row {row}) is not numeric",
-                    variable=var, row=row, value=token,
-                ) from None
+                raise bad("not numeric") from None
             if not math.isfinite(value):
-                raise _non_finite(token, var, row) from None
+                raise bad("not finite") from None
             if not value.is_integer():
-                raise NonNumericCell(
-                    f"cell {token!r} in column {var!r} (row {row}) is not an integer",
-                    variable=var, row=row, value=token,
-                ) from None
+                raise bad("not an integer") from None
             whole = int(value)
         if not _INT64.min <= whole <= _INT64.max:
-            raise NonNumericCell(
-                f"cell {token!r} in column {var!r} (row {row}) is outside the "
-                "int64 range",
-                variable=var, row=row, value=token,
-            )
+            raise bad("outside the int64 range")
         return whole
     if kind == Kind.BOOLEAN:
         try:
             return _BOOLEAN_TOKENS[token.lower()]
         except KeyError:
-            raise NonNumericCell(
-                f"cell {token!r} in column {var!r} (row {row}) is not boolean",
-                variable=var, row=row, value=token,
-            ) from None
+            raise bad("not boolean") from None
     raise AssertionError(kind)
 
 

@@ -42,8 +42,9 @@ def _record_json(value):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Knobs shared by structure learning and resolution, checked on
-    construction so that a bad value fails before any search runs."""
+    """Knobs shared by structure learning and resolution. Construction
+    checks ``theta_ratio`` and ``bins``; ``fci`` checks ``alpha`` and
+    ``max_cond_size`` before its search."""
 
     alpha: float = 0.05
     max_cond_size: int = 3

@@ -12,7 +12,6 @@ graph (ADMG): directed edges plus bidirected confounding edges, no circles.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Mapping
@@ -21,8 +20,6 @@ from .dataset import Dataset, Role, VariableMeta
 from .discovery import Mark, Pag, StructuralConstraints, _dot_nodes, build_constraints
 from .errors import EngineError, InputError, UnknownVertex
 from .stats import entropy, min_entropy_latent
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -223,12 +220,6 @@ def resolve_edges(
         elif mu == Mark.ARROW and mv == Mark.ARROW:
             asm.add_bidirected(edge.u, edge.v, "copy")
         else:
-            if Mark.CIRCLE not in (mu, mv):
-                logger.info(
-                    "undirected edge %s-%s routed through entropy resolution",
-                    edge.u, edge.v,
-                )
-                asm.notes.append(f"undirected edge {edge.u}-{edge.v} resolved by entropy")
             undecided.append((edge.u, edge.v))
 
     for u, v in undecided:

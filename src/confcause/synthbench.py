@@ -25,7 +25,7 @@ from .effects import (
     ModelParams,
     _record_json,
     ace_edge,
-    diagnose,
+    cpwe,
     learn_model,
     update_model,
 )
@@ -33,7 +33,6 @@ from .errors import (
     EngineError,
     InputError,
     NoFaultyRows,
-    NoPathsFound,
     ObjectiveMismatch,
     UnknownVertex,
 )
@@ -690,11 +689,8 @@ def run_benchmark(
         ds = case.dataset
         _, admg = learn_model(ds, params)
         options = list(ds.options)
+        care = cpwe(ds, admg, top_k=top_k, bins=params.bins)
         for entry in case.truth.faults:
-            try:
-                care_diag = diagnose(ds, admg, entry.objective, top_k=top_k, bins=params.bins)
-            except NoPathsFound:
-                care_diag = Diagnosis(entry.objective, (), ())
             ace_vals = {}
             for o in options:
                 try:
@@ -709,7 +705,7 @@ def run_benchmark(
                 FaultOutcome(
                     case.index,
                     entry.objective,
-                    care=evaluate(care_diag, case.truth, options, ace_vals),
+                    care=evaluate(care[entry.objective], case.truth, options, ace_vals),
                     cbi=evaluate(cbi_diag, case.truth, options, ace_vals),
                 )
             )

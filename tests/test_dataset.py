@@ -126,10 +126,21 @@ def test_empty_table_rejected():
         load_dataset("a\n", json.dumps(roles))
 
 
-def test_non_numeric_cell():
-    roles = {"a": {"role": "option", "kind": "discrete"}}
-    with pytest.raises(NonNumericCell):
-        load_dataset("a\nbanana\n", json.dumps(roles))
+@pytest.mark.parametrize(
+    "kind, token, message",
+    [
+        ("continuous", "banana", "cell 'banana' in column 'a' (row 1) is not numeric"),
+        ("discrete", "banana", "cell 'banana' in column 'a' (row 1) is not numeric"),
+        ("discrete", "1.5", "cell '1.5' in column 'a' (row 1) is not an integer"),
+        ("boolean", "maybe", "cell 'maybe' in column 'a' (row 1) is not boolean"),
+    ],
+)
+def test_non_numeric_cell(kind, token, message):
+    roles = {"a": {"role": "metric", "kind": kind}}
+    with pytest.raises(NonNumericCell) as info:
+        load_dataset(f"a\n1\n{token}\n", json.dumps(roles))
+    assert str(info.value) == message
+    assert info.value.details == {"variable": "a", "row": 1, "value": token}
 
 
 @pytest.mark.parametrize("kind", ["continuous", "discrete"])
@@ -139,7 +150,7 @@ def test_non_finite_cell_rejected(kind, token):
     with pytest.raises(NonNumericCell) as info:
         load_dataset(f"a\n1\n{token}\n", json.dumps(roles))
     assert info.value.details == {"variable": "a", "row": 1, "value": token}
-    assert "row 1" in str(info.value) and "'a'" in str(info.value)
+    assert str(info.value) == f"cell {token!r} in column 'a' (row 1) is not finite"
 
 
 @pytest.mark.parametrize(
@@ -150,7 +161,9 @@ def test_discrete_cell_outside_int64_rejected(token):
     with pytest.raises(NonNumericCell) as info:
         load_dataset(f"a\n1\n2\n{token}\n", json.dumps(roles))
     assert info.value.details == {"variable": "a", "row": 2, "value": token}
-    assert "int64" in str(info.value)
+    assert str(info.value) == (
+        f"cell {token!r} in column 'a' (row 2) is outside the int64 range"
+    )
 
 
 def test_discrete_integers_parsed_exactly():

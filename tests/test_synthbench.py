@@ -7,13 +7,15 @@ import pytest
 
 from confcause import effects, synthbench
 from confcause.dataset import Kind, Role, VariableMeta
-from confcause.effects import Diagnosis, ModelParams, ace_edge
+from confcause.effects import Diagnosis, ModelParams, ace_edge, cpwe, diagnose, learn_model
 from confcause.errors import (
     InputError,
     NoFaultyRows,
+    NoPathsFound,
     ObjectiveMismatch,
     UnknownVertex,
 )
+from confcause.resolve import Admg
 from confcause.synthbench import (
     FaultEntry,
     GroundTruth,
@@ -336,6 +338,33 @@ class TestBenchmarkFixtures:
         assert np.array_equal(
             a[1].dataset.column("y_energy"), b[1].dataset.column("y_energy")
         )
+
+    def test_ranking_every_objective_at_once_equals_one_diagnosis_each(self):
+        """``run_benchmark`` ranks all objectives of a system in one ``cpwe``
+        call: each entry is ``diagnose``'s answer, and the empty diagnosis
+        where ``diagnose`` finds no path."""
+        empty = 0
+        for case in make_fault_benchmark(0, 2, 400):
+            ds = case.dataset
+            _, learned = learn_model(ds)
+            # the same model with one objective cut off, so that it has no path
+            cut = ds.objectives[0]
+            isolated = Admg(
+                learned.vertices,
+                frozenset(e for e in learned.directed if cut not in e),
+                frozenset(e for e in learned.bidirected if cut not in e),
+            )
+            for admg in (learned, isolated):
+                ranked = cpwe(ds, admg)
+                assert sorted(ranked) == sorted(ds.objectives)
+                for y in ds.objectives:
+                    try:
+                        expected = diagnose(ds, admg, y)
+                    except NoPathsFound:
+                        expected = Diagnosis(y, (), ())
+                        empty += 1
+                    assert ranked[y] == expected
+        assert empty == 2
 
     def test_transfer_pair_differs_in_one_weight(self):
         base, shifted = transfer_scm(seed=0)
