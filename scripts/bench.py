@@ -2,7 +2,7 @@
 systems and the ``confcause bench`` study, and write the results as one JSON
 column.
 
-    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_29.json]
+    python scripts/bench.py --out BENCH.json [--column NAME] [--check BENCH_30.json]
 
 Each ladder rung is ``generate_scm(options, metrics, objectives, density,
 seed=0)`` sampled with ``sample(scm, rows)``. The CSV layer writes the table
@@ -19,16 +19,20 @@ JSON. The traced run's PAG is then resolved with ``resolve_edges`` on
 ``discretize(ds, 5)``; the rung records ``model_sha256``, the SHA-256 of the
 model's sorted-keys JSON, and ``entropy_ties``, the circle-marked edges whose
 endpoints have equal entropy there: resolution orients each of them by name
-order unless it makes the edge bidirected.
+order unless it makes the edge bidirected. ``diagnosis_sha256`` is the
+SHA-256 of the sorted-keys JSON of ``cpwe`` over that model, ``top_k=4``,
+keyed by objective.
 The study is ``confcause bench`` with its defaults (``run_benchmark`` and
 ``transfer_series`` on seed 0), timed once, with the causal method's pooled
-precision, recall, F1 and false positives. When ``--out`` already holds
-other columns, the new one is written next to them. ``--check FILE`` exits 1
-when a rung's ``pag_sha256``, ``edges``, ``ci_tests``, ``untestable``,
-``table_sha256`` or ``model_sha256``, or the study's ``precision``,
-``recall``, ``f1`` or ``fp``, differs from FILE's ``change`` column, each
-where that column has it. Times, peaks and ``sets_inverted`` are not
-compared: they depend on how the search stacks its queries.
+precision, recall, F1 and false positives, and ``report_sha256``, the SHA-256
+of the report's sorted-keys JSON. When ``--out`` already holds other
+columns, the new one is written next to them. ``--check FILE`` exits 1 when
+a rung's ``pag_sha256``, ``edges``, ``ci_tests``, ``untestable``,
+``table_sha256``, ``model_sha256`` or ``diagnosis_sha256``, or the study's
+``precision``, ``recall``, ``f1``, ``fp`` or ``report_sha256``, differs from
+FILE's ``change`` column, each where that column has it. Times, peaks and
+``sets_inverted`` are not compared: they depend on how the search stacks its
+queries.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import numpy as np  # noqa: E402
 from confcause import __version__  # noqa: E402
 from confcause.dataset import Dataset, discretize, load_dataset  # noqa: E402
 from confcause.discovery import Mark, fci  # noqa: E402
+from confcause.effects import cpwe  # noqa: E402
 from confcause.resolve import resolve_edges  # noqa: E402
 from confcause.stats import entropy  # noqa: E402
 from confcause.synthbench import generate_scm, run_benchmark, sample, transfer_series  # noqa: E402
@@ -87,9 +92,9 @@ def adjacency_f1(true_directed, learned) -> float:
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
-def sha256_json(record) -> str:
-    """The SHA-256 of ``record.to_json_dict()`` as sorted-keys JSON."""
-    return hashlib.sha256(json.dumps(record.to_json_dict(), sort_keys=True).encode()).hexdigest()
+def sha256_json(payload) -> str:
+    """The SHA-256 of ``payload`` as sorted-keys JSON."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def timed(name: str, step) -> tuple[dict, object]:
@@ -138,6 +143,8 @@ def rung(options: int, metrics: int, objectives: int, density: float, rows: int)
         Mark.CIRCLE in (e.mark_u, e.mark_v) and entropy(disc, [e.u]) == entropy(disc, [e.v])
         for e in pag.edges
     )
+    model = resolve_edges(pag, disc)
+    diagnoses = {y: d.to_json_dict() for y, d in cpwe(ds, model, top_k=4).items()}
     return {
         "shape": [options, metrics, objectives, density, rows],
         **layer,
@@ -145,8 +152,9 @@ def rung(options: int, metrics: int, objectives: int, density: float, rows: int)
         **{name: int(value) for name, value in counts.groupdict().items() if name != "vertices"},
         "adj_f1": round(adjacency_f1(scm.graph.directed, pag.adjacencies()), 4),
         "true_edges": len(scm.graph.directed),
-        "pag_sha256": sha256_json(pag),
-        "model_sha256": sha256_json(resolve_edges(pag, disc)),
+        "pag_sha256": sha256_json(pag.to_json_dict()),
+        "model_sha256": sha256_json(model.to_json_dict()),
+        "diagnosis_sha256": sha256_json(diagnoses),
         "entropy_ties": ties,
     }
 
@@ -161,6 +169,7 @@ def study() -> dict:
         "wall_s": round(wall, 3),
         **{name: round(care[name], 4) for name in ("precision", "recall", "f1")},
         "fp": care["fp"],
+        "report_sha256": sha256_json(report.to_json_dict()),
     }
 
 
@@ -169,8 +178,12 @@ def differences(column: dict, reference: Path) -> list[str]:
     column of ``reference``, where that column has the key; and each rung
     that it lacks. Times, peaks and ``sets_inverted`` are not checked."""
     want = json.loads(reference.read_text())["change"]
-    rung_keys = ("pag_sha256", "edges", "ci_tests", "untestable", "table_sha256", "model_sha256")
-    records = [("study", want.get("study"), column["study"], ("precision", "recall", "f1", "fp"))]
+    rung_keys = (
+        "pag_sha256", "edges", "ci_tests", "untestable", "table_sha256", "model_sha256",
+        "diagnosis_sha256",
+    )
+    study_keys = ("precision", "recall", "f1", "fp", "report_sha256")
+    records = [("study", want.get("study"), column["study"], study_keys)]
     records += [
         (name, want["ladder"].get(name), got, rung_keys) for name, got in column["ladder"].items()
     ]

@@ -131,17 +131,23 @@ class Dataset:
     # -- construction helpers ----------------------------------------------
 
     def concat(self, other: "Dataset") -> "Dataset":
-        """Row-concatenate two schema-identical datasets."""
+        """Row-concatenate two schema-identical datasets; a coded column appends
+        the other side's new labels to this side's and maps its codes onto them."""
         if self.schema() != other.schema():
-            raise SchemaMismatch(
-                "datasets have different schemas",
-                left=self.schema(), right=other.schema(),
-            )
-        cols = {
-            n: np.concatenate([self.columns[n], other.columns[n]])
-            for n in self.names
-        }
-        return Dataset(self.variables, cols, self.sample_count + other.sample_count)
+            raise SchemaMismatch("datasets have different schemas",
+                                 left=self.schema(), right=other.schema())
+        variables, cols = [], {}
+        for v, w in zip(self.variables, other.variables):
+            tail = other.columns[v.name]
+            if (v.domain is None) != (w.domain is None):
+                raise SchemaMismatch(f"only one side labels {v.name!r}", variable=v.name)
+            if v.domain is not None:
+                code_of = {label: i for i, label in enumerate(dict.fromkeys(v.domain + w.domain))}
+                v = replace(v, domain=tuple(code_of))
+                tail = np.array([code_of[label] for label in w.domain], np.int64)[tail]
+            variables.append(v)
+            cols[v.name] = np.concatenate([self.columns[v.name], tail])
+        return Dataset(tuple(variables), cols, self.sample_count + other.sample_count)
 
     def schema(self) -> tuple[tuple[str, str, str], ...]:
         return tuple((v.name, v.role.value, v.kind.value) for v in self.variables)

@@ -10,6 +10,7 @@ the stratum-conditional outcome means, weighted by stratum probability.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, fields, is_dataclass
@@ -267,51 +268,6 @@ def path_ace(vertices: Sequence[str], edge_aces: Sequence[float]) -> float:
 # ranking
 
 
-def _score_paths(
-    ds: Dataset,
-    admg: Admg,
-    objective: str,
-    top_k: int,
-    bins: int,
-    cache: dict[tuple[str, str], float],
-    codes: dict[str, np.ndarray],
-) -> Diagnosis:
-    raw = extract_paths(admg, objective)
-    scored: list[CausalPath] = []
-    for vertices in raw:
-        edge_vals: list[float] = []
-        for a, b in zip(vertices, vertices[1:]):
-            key = (a, b)
-            if key not in cache:
-                if (a, b) in admg.directed:
-                    try:
-                        cache[key] = ace_edge(
-                            ds, admg, a, b, bins=bins, _codes=codes
-                        ).value
-                    except UnidentifiableEffect as exc:
-                        logger.warning(
-                            "edge %s->%s unidentifiable (%s); scored as 0", a, b, exc
-                        )
-                        cache[key] = 0.0
-                else:
-                    logger.info(
-                        "edge %s-%s is pure confounding; no interventional "
-                        "effect, scored as 0", a, b,
-                    )
-                    cache[key] = 0.0
-            edge_vals.append(cache[key])
-        scored.append(
-            CausalPath(vertices, objective, path_ace(vertices, edge_vals), tuple(edge_vals))
-        )
-    scored.sort(key=lambda p: (-p.path_ace, p.vertices))
-    top = tuple(scored[:top_k])
-    roots: list[str] = []
-    for p in top:
-        if p.vertices[0] not in roots:
-            roots.append(p.vertices[0])
-    return Diagnosis(objective, top, tuple(roots))
-
-
 def cpwe(
     ds: Dataset,
     admg: Admg,
@@ -321,17 +277,39 @@ def cpwe(
 ) -> dict[str, Diagnosis]:
     """Rank causal paths per objective; an objective with no admissible paths
     maps to an empty diagnosis (single-objective callers treat that as an
-    error, see :func:`diagnose`)."""
+    error, see :func:`diagnose`). Each path step's effect is estimated once
+    per call, and each column binned once."""
     if top_k < 1:
         raise InputError(f"top_k must be >= 1, got {top_k}", top_k=top_k)
     if objectives is None:
         objectives = [v.name for v in admg.vertices if v.role == Role.OBJECTIVE]
-    cache: dict[tuple[str, str], float] = {}
     codes: dict[str, np.ndarray] = {}
-    return {
-        obj: _score_paths(ds, admg, obj, top_k, bins, cache, codes)
-        for obj in sorted(objectives)
-    }
+
+    @functools.cache
+    def step_effect(a: str, b: str) -> float:
+        if (a, b) not in admg.directed:
+            logger.info("edge %s-%s is pure confounding; no interventional "
+                        "effect, scored as 0", a, b)
+            return 0.0
+        try:
+            return ace_edge(ds, admg, a, b, bins=bins, _codes=codes).value
+        except UnidentifiableEffect as exc:
+            logger.warning("edge %s->%s unidentifiable (%s); scored as 0", a, b, exc)
+            return 0.0
+
+    diagnoses = {}
+    for objective in sorted(objectives):
+        scored = []
+        for vertices in extract_paths(admg, objective):
+            edge_vals = tuple(itertools.starmap(step_effect, zip(vertices, vertices[1:])))
+            scored.append(
+                CausalPath(vertices, objective, path_ace(vertices, edge_vals), edge_vals)
+            )
+        scored.sort(key=lambda p: (-p.path_ace, p.vertices))
+        top = tuple(scored[:top_k])
+        roots = tuple(dict.fromkeys(p.vertices[0] for p in top))
+        diagnoses[objective] = Diagnosis(objective, top, roots)
+    return diagnoses
 
 
 def diagnose(

@@ -1,13 +1,13 @@
 """Resolution of undecided edge marks into a mixed causal graph.
 
 A discovered graph usually keeps circle marks where the data could not settle
-an orientation. Each such edge is resolved by an information argument: if the
-exogenous noise of the pair's function (``stats.min_entropy_latent``) needs
-fewer bits than a fraction of the less complex endpoint, the edge becomes
-bidirected; otherwise the functional direction with the lower residual
-complexity wins — the edge points from the endpoint whose conditional
-entropy of the other is smaller. The output is an acyclic directed mixed
-graph (ADMG): directed edges plus bidirected confounding edges, no circles.
+an orientation. Each such edge is resolved from the pair's one table of joint
+counts: if the exogenous noise of the pair's function, in its cheaper
+direction, needs fewer bits than a fraction of the less complex endpoint, the
+edge becomes bidirected; otherwise the edge points from the endpoint whose
+conditional entropy of the other is smaller. The output is an acyclic
+directed mixed graph (ADMG): directed edges plus bidirected confounding
+edges, no circles.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Mapping
 from .dataset import Dataset, Role, VariableMeta
 from .discovery import Mark, Pag, StructuralConstraints, _dot_nodes, build_constraints
 from .errors import EngineError, InputError, UnknownVertex
-from .stats import entropy, min_entropy_latent
+from .stats import contingency_table, count_bits, coupling_bits
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,10 @@ def resolve_edges(
     edge using entropies computed on ``ds`` (which must be fully discrete),
     under the role constraints of ``pag.vertices``.
 
-    Decided marks are copied verbatim. For each edge u - v (u < v) with a
-    circle end, ``min_entropy_latent``'s H(E), E the smallest exogenous
-    noise with v = f(u, E), is compared against ``theta_ratio * min(H(u),
+    Decided marks are copied verbatim. Each edge u - v (u < v) with a circle
+    end is judged from one table of its joint counts. The smaller of the
+    greedy coupling's H(E), E the exogenous noise with v = f(u, E), and its
+    H(E) with u = f(v, E), is compared against ``theta_ratio * min(H(u),
     H(v))``: strictly below means bidirected, otherwise the direction with
     the smaller conditional entropy of effect given cause is emitted; a tie
     emits v -> u, and with equal-frequency bins every edge between two
@@ -203,13 +204,6 @@ def resolve_edges(
             f"theta_ratio must be positive, got {theta_ratio}", theta_ratio=theta_ratio
         )
     asm = _Assembler(build_constraints(pag.vertices))
-    marginal: dict[str, float] = {}
-
-    def h(name: str) -> float:
-        if name not in marginal:
-            marginal[name] = entropy(ds, [name])
-        return marginal[name]
-
     undecided: list[tuple[str, str]] = []
     for edge in sorted(pag.edges, key=lambda e: (e.u, e.v)):
         mu, mv = edge.mark_u, edge.mark_v
@@ -223,16 +217,15 @@ def resolve_edges(
             undecided.append((edge.u, edge.v))
 
     for u, v in undecided:
-        h_u, h_v = h(u), h(v)
-        latent_bits = min_entropy_latent(ds, u, v)
-        threshold = entropy_threshold(h_u, h_v, theta_ratio)
-        if latent_bits < threshold:
+        table = contingency_table(ds, u, v)
+        h_u, h_v = count_bits(table.sum(axis=1)), count_bits(table.sum(axis=0))
+        latent_bits = min(coupling_bits(table), coupling_bits(table.T))
+        if latent_bits < entropy_threshold(h_u, h_v, theta_ratio):
             asm.add_bidirected(u, v, "entropy")
             continue
-        h_uv = entropy(ds, [u, v])
-        forward = h_uv - h_u   # H(v | u): residual complexity if u causes v
-        backward = h_uv - h_v  # H(u | v): residual complexity if v causes u
-        if forward < backward:
+        h_uv = count_bits(table[table > 0])
+        # H(v | u) < H(u | v): less residual complexity if u causes v
+        if h_uv - h_u < h_uv - h_v:
             asm.add_directed(u, v, "entropy")
         else:
             asm.add_directed(v, u, "entropy")

@@ -333,13 +333,17 @@ def _joint_codes(mat: np.ndarray) -> np.ndarray:
     return codes
 
 
+def count_bits(counts: np.ndarray) -> float:
+    """Shannon entropy (bits) of the distribution of positive integer counts."""
+    p = counts / counts.sum()
+    return max(float(-(p * np.log2(p)).sum()), 0.0)
+
+
 def entropy(ds: Dataset, variables: Sequence[str]) -> float:
     """Shannon entropy (bits) of the empirical joint over the named columns."""
     if not variables:
         raise NonDiscreteVariable("entropy requires at least one variable")
-    counts = np.bincount(_joint_codes(_require_discrete(ds, variables)))
-    p = counts / counts.sum()
-    return max(float(-(p * np.log2(p)).sum()), 0.0)
+    return count_bits(np.bincount(_joint_codes(_require_discrete(ds, variables))))
 
 
 def conditional_entropy(ds: Dataset, target: str, given: str) -> float:
@@ -374,24 +378,33 @@ def greedy_coupling(rows: Sequence[np.ndarray]) -> list[tuple[tuple[int, ...], f
     return atoms
 
 
-def min_entropy_latent(ds: Dataset, x: str, y: str) -> float:
-    """Entropy (bits) of the smallest exogenous E with y = f(x, E) that the
-    greedy coupling finds; not the common entropy, the smallest latent that
-    makes x and y independent. A constant column needs none: returns 0.
-    """
+def contingency_table(ds: Dataset, x: str, y: str) -> np.ndarray:
+    """Joint counts of two discrete columns, levels ascending: its row sums,
+    column sums and non-empty cells (row-major) are ``entropy``'s counts."""
     mat = _require_discrete(ds, [x, y])
     xs, x_codes = _levels(mat[:, 0])
     ys, y_codes = _levels(mat[:, 1])
     if xs.shape[0] < 2 or ys.shape[0] < 2:
         logger.info("degenerate joint for (%s, %s); latent entropy is 0", x, y)
-        return 0.0
-    table = np.bincount(
-        x_codes * ys.shape[0] + y_codes, minlength=xs.shape[0] * ys.shape[0]
-    ).reshape(xs.shape[0], ys.shape[0]).astype(np.float64)
-    table /= table.sum()
-    atoms = greedy_coupling(table / table.sum(axis=1, keepdims=True))
+    cells = np.bincount(x_codes * ys.shape[0] + y_codes, minlength=xs.shape[0] * ys.shape[0])
+    return cells.reshape(xs.shape[0], ys.shape[0])
 
+
+def coupling_bits(table: np.ndarray) -> float:
+    """Entropy (bits) of the greedy coupling of p(column | row) over a count
+    table's rows; 0 for a table with a single row or column."""
+    if min(table.shape) < 2:
+        return 0.0
+    joint = np.array(table, dtype=np.float64, order="C")
+    joint /= joint.sum()
     bits = 0.0
-    for _, mass in atoms:
+    for _, mass in greedy_coupling(joint / joint.sum(axis=1, keepdims=True)):
         bits -= mass * math.log2(mass)
     return max(bits, 0.0)
+
+
+def min_entropy_latent(ds: Dataset, x: str, y: str) -> float:
+    """Entropy (bits) of the smallest exogenous E with y = f(x, E) that the
+    greedy coupling finds; not the common entropy, the smallest latent that
+    makes x and y independent. A constant column needs none: returns 0."""
+    return coupling_bits(contingency_table(ds, x, y))

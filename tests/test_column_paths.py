@@ -42,6 +42,9 @@ from confcause.stats import (
     _COUNTING_SPAN,
     _joint_codes,
     _levels,
+    contingency_table,
+    count_bits,
+    coupling_bits,
     entropy,
     greedy_coupling,
     min_entropy_latent,
@@ -215,6 +218,30 @@ def test_min_entropy_latent_matches_row_loop(pairs):
     a, b = zip(*pairs)
     ds = _discrete_dataset(a=a, b=b)
     assert min_entropy_latent(ds, "a", "b") == _reference_min_entropy_latent(ds, "a", "b")
+
+
+# eight or more levels on each side, so that row sums of the table and of its
+# transpose take numpy's unrolled pairwise summation
+_WIDE_LEVELS = [-7, 0, 1, 2, 3, 4, 5, 6, 8, 10**12]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_WIDE_LEVELS), st.sampled_from(_WIDE_LEVELS)),
+        max_size=80,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_count_table_gives_the_entropies_and_latents_bit_for_bit(pairs):
+    # edge resolution reads every quantity of a pair from its one table
+    a, b = zip(*pairs) if pairs else ((), ())
+    ds = _discrete_dataset(a=a, b=b)
+    table = contingency_table(ds, "a", "b")
+    assert count_bits(table.sum(axis=1)) == entropy(ds, ["a"])
+    assert count_bits(table.sum(axis=0)) == entropy(ds, ["b"])
+    assert count_bits(table[table > 0]) == entropy(ds, ["a", "b"])
+    assert coupling_bits(table) == min_entropy_latent(ds, "a", "b")
+    assert coupling_bits(table.T) == min_entropy_latent(ds, "b", "a")
 
 
 # --------------------------------------------------------------------------

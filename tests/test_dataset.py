@@ -1,4 +1,6 @@
+import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,31 @@ def test_concat_requires_matching_schema(loaded):
     )
     with pytest.raises(SchemaMismatch):
         loaded.concat(trimmed)
+
+
+def test_concat_appends_the_labels_one_side_lacks():
+    roles = json.dumps({"mode": {"role": "metric", "kind": "categorical"}})
+    left = load_dataset("mode\nfast\nslow\n", roles)
+    right = load_dataset("mode\nslow\nturbo\n", roles)
+    merged = left.concat(right)
+    assert merged.meta("mode").domain == ("fast", "slow", "turbo")
+    np.testing.assert_array_equal(merged.column("mode"), [0, 1, 1, 2])
+    stream = io.StringIO()
+    merged.dump_table(stream)
+    assert stream.getvalue().split() == ["mode", "fast", "slow", "slow", "turbo"]
+    assert left.meta("mode").domain == ("fast", "slow")
+
+
+def test_concat_rejects_labels_on_one_side_only(loaded):
+    bare = Dataset(
+        tuple(replace(v, domain=None) for v in loaded.variables),
+        loaded.columns,
+        loaded.sample_count,
+    )
+    for left, right in ((loaded, bare), (bare, loaded)):
+        with pytest.raises(SchemaMismatch) as err:
+            left.concat(right)
+        assert err.value.details == {"variable": "retries"}
 
 
 def test_variable_without_a_column_is_named():

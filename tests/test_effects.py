@@ -326,6 +326,29 @@ def test_cpwe_bins_each_column_once(monkeypatch):
     assert len(binned) > len(set(binned))
 
 
+def test_cpwe_estimates_each_directed_step_once(monkeypatch):
+    ds = sample(generate_scm(3, 8, 2, 0.4, seed=2), 2000)
+    _, admg = learn_model(ds)
+    estimated: list[tuple[str, str]] = []
+    real = effects.ace_edge
+
+    def counting(ds, admg, treatment, outcome, **kwargs):
+        estimated.append((treatment, outcome))
+        return real(ds, admg, treatment, outcome, **kwargs)
+
+    monkeypatch.setattr(effects, "ace_edge", counting)
+    cpwe(ds, admg)
+    steps = [
+        step
+        for objective in ds.objectives
+        for path in extract_paths(admg, objective)
+        for step in zip(path, path[1:])
+        if step in admg.directed
+    ]
+    assert len(steps) > len(set(steps))  # paths share steps
+    assert sorted(estimated) == sorted(set(steps))
+
+
 class TestUpdateModel:
     def _data(self, seed, n=6000):
         return sample(chain_system(seed=seed), n)

@@ -18,12 +18,12 @@ def _discrete(name, role=Role.METRIC):
     return VariableMeta(name, role, Kind.DISCRETE)
 
 
-def pair_dataset(blocks):
+def pair_dataset(blocks, names=("u", "v")):
     """Columns built from exact (u_value, v_value, count) triples."""
     us = np.concatenate([np.full(c, u, dtype=np.int64) for u, _, c in blocks])
     vs = np.concatenate([np.full(c, v, dtype=np.int64) for _, v, c in blocks])
-    variables = (_discrete("u"), _discrete("v"))
-    return Dataset(variables, {"u": us, "v": vs}, len(us))
+    variables = tuple(map(_discrete, names))
+    return Dataset(variables, dict(zip(names, (us, vs))), len(us))
 
 
 def circle_pag(ds):
@@ -78,6 +78,17 @@ class TestEntropyBranch:
         ds = pair_dataset([(0, 0, 90), (0, 1, 10), (1, 0, 20), (1, 1, 80)])
         admg = resolve_edges(circle_pag(ds), ds, theta_ratio=0.99)
         assert admg.bidirected == frozenset({frozenset(("u", "v"))})
+
+    @pytest.mark.parametrize("rows, cols", [("p", "q"), ("q", "p")])
+    def test_latent_is_judged_in_both_directions(self, rows, cols):
+        # joint counts [[5, 29], [23, 2]]: the latent needs 0.749 bits with
+        # the columns as f(rows, E) and 0.845 the other way round, against a
+        # threshold of 0.787; the cheaper direction decides under either name
+        ds = pair_dataset([(0, 0, 5), (0, 1, 29), (1, 0, 23), (1, 1, 2)], (rows, cols))
+        pag = Pag(ds.variables, (PagEdge("p", "q", Mark.CIRCLE, Mark.CIRCLE),), sepsets={})
+        admg = resolve_edges(pag, ds)
+        assert admg.bidirected == frozenset({frozenset(("p", "q"))})
+        assert not admg.directed
 
 
 class TestCopyAndRepair:
