@@ -2,9 +2,9 @@
 
 A dataset is a rectangular table of system-run observations. Every column is
 tagged with a *role* — manipulable configuration option, non-manipulable
-system metric, or performance objective — and a value *kind*. Categorical and
-boolean columns are stored as dense integer codes; the original labels live in
-``VariableMeta.domain`` so serialization round-trips.
+system metric, or performance objective — and a value *kind*. Boolean columns
+are stored as 0/1 and categorical ones as dense integer codes; a categorical
+column's labels live in ``VariableMeta.domain`` so serialization round-trips.
 """
 
 from __future__ import annotations
@@ -450,8 +450,6 @@ def load_dataset(table_source: str | Path, roles_source: str | Path) -> Dataset:
                 dtype=np.float64 if meta.kind == Kind.CONTINUOUS else np.int64,
             )
         columns[meta.name] = values
-        if meta.kind == Kind.BOOLEAN:
-            meta = replace(meta, domain=("false", "true"))
         final_metas.append(meta)
 
     return Dataset(tuple(final_metas), columns, sample_count)

@@ -416,12 +416,10 @@ def _in_search_order(
     exceed it. Block r of each pair that its first r blocks did not separate
     joins one stack per set width. Then the round yields the answers in
     order while a pair's pool is still the one its answer was found on, and
-    adds those pairs' tallies to ``tester.counts``. The blocks of the pair
-    that closed a window open the next one if its pool is unchanged."""
+    adds those pairs' tallies to ``tester.counts``."""
     spec: dict[int, list] = {}  # pair position -> [pool, separator]
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     tallies = np.zeros((len(pairs), 3), dtype=np.int64)  # per pair, as in ``first_separators``
-    closer: tuple = (None, None, None)  # position, pool and blocks of the pair that closed a window
     at = 0
     while at < len(pairs):
         window, offered = {}, 0  # the blocks of the pairs speculated on, by position
@@ -429,13 +427,9 @@ def _in_search_order(
             pool = pool_of(*pairs[j])
             if j in spec and spec[j][0] == pool:
                 continue
-            if closer[0] == j and closer[1] == pool:
-                blocks = closer[2]
-            else:
-                blocks = [b for b in blocks_of(*pairs[j], pool) if b.shape[0]]
+            blocks = [b for b in blocks_of(*pairs[j], pool) if b.shape[0]]
             size = sum([b.shape[0] for b in blocks])
             if offered and offered + size > _STACK_CAP:
-                closer = (j, pool, blocks)
                 break
             window[j], spec[j] = blocks, [pool, None]
             offered += size

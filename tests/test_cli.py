@@ -262,8 +262,9 @@ class TestDiagnose:
     def test_saved_model_of_a_table_with_domains(
         self, tmp_path, capsys, monkeypatch, categorical
     ):
-        """Boolean and categorical columns load with a domain that a model
-        file does not carry; the saved model still models their table."""
+        """A boolean objective, and a categorical option whose labels load
+        as a domain that a model file does not carry: the saved model still
+        models their table."""
         synth = tmp_path / "synth"
         assert run(["synth", "--options", 3, "--metrics", 6, "--objectives", 2,
                     "--boolean-objectives", 1, "--latents", 2, "--rows", 5000,

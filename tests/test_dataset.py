@@ -24,6 +24,9 @@ from confcause.errors import (
     SchemaMismatch,
     UnknownVariable,
 )
+from confcause.synthbench import generate_scm, sample
+
+from transforms import reloaded
 
 ROLES = {
     "cache_mb": {"role": "option", "kind": "discrete"},
@@ -215,7 +218,18 @@ def test_concat_rejects_labels_on_one_side_only(loaded):
     for left, right in ((loaded, bare), (bare, loaded)):
         with pytest.raises(SchemaMismatch) as err:
             left.concat(right)
-        assert err.value.details == {"variable": "retries"}
+        assert err.value.details == {"variable": "mode"}
+
+
+def test_a_reloaded_boolean_concatenates_with_a_sampled_one():
+    """Only categorical columns carry labels: a boolean is written and read
+    back as 0/1 with no domain, so a loaded table of a system concatenates
+    with a batch sampled from it."""
+    batch = sample(generate_scm(2, 3, 2, 0.5, seed=1, boolean_objectives=1), 300)
+    merged = reloaded(batch).concat(batch)
+    assert merged.variables == batch.variables
+    for name in batch.names:
+        np.testing.assert_array_equal(merged.column(name), np.tile(batch.column(name), 2))
 
 
 def test_variable_without_a_column_is_named():

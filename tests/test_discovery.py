@@ -152,18 +152,6 @@ def test_same_seed_same_output():
     assert a.to_json_dict() == b.to_json_dict()
 
 
-def test_column_order_irrelevant():
-    ds = sample(collider_system(seed=5), 3000)
-    shuffled = Dataset(
-        tuple(reversed(ds.variables)),
-        {name: ds.column(name) for name in reversed(ds.names)},
-        ds.sample_count,
-    )
-    a = fci(ds)
-    b = fci(shuffled)
-    assert a.edge_marks() == b.edge_marks()
-
-
 def test_warm_start_reaches_same_skeleton():
     ds = sample(collider_system(seed=11), 6000)
     cold = fci(ds)

@@ -56,15 +56,17 @@ class TestEntropyBranch:
         assert admg.bidirected == frozenset({frozenset(("u", "v"))})
         assert not admg.directed
 
-    def test_asymmetric_channel_orients_toward_lower_residual(self):
-        # p(v|u=0)=[.9,.1], p(v|u=1)=[.2,.8]: latent needs H([.8,.1,.1]) bits,
-        # above 0.8*min(H(u),H(v)), and H(v|u) < H(u|v) so u -> v
-        ds = pair_dataset([(0, 0, 90), (0, 1, 10), (1, 0, 20), (1, 1, 80)])
+    @pytest.mark.parametrize("rows, cols", [("u", "v"), ("v", "u")])
+    def test_asymmetric_channel_orients_toward_lower_residual(self, rows, cols):
+        # p(cols|rows=0)=[.9,.1], p(cols|rows=1)=[.2,.8]: latent needs
+        # H([.8,.1,.1]) bits, above 0.8*min(H(rows),H(cols)), and
+        # H(cols|rows) < H(rows|cols) so rows -> cols under either name
+        ds = pair_dataset([(0, 0, 90), (0, 1, 10), (1, 0, 20), (1, 1, 80)], (rows, cols))
         h_z = -(0.8 * math.log2(0.8) + 0.2 * math.log2(0.1))
-        h_v = -(0.55 * math.log2(0.55) + 0.45 * math.log2(0.45))
-        assert h_z > 0.8 * min(1.0, h_v)  # sanity on the hand arithmetic
+        h_cols = -(0.55 * math.log2(0.55) + 0.45 * math.log2(0.45))
+        assert h_z > 0.8 * min(1.0, h_cols)  # sanity on the hand arithmetic
         admg = resolve_edges(circle_pag(ds), ds)
-        assert admg.directed == frozenset({("u", "v")})
+        assert admg.directed == frozenset({(rows, cols)})
         assert not admg.bidirected
 
     def test_exact_tie_breaks_to_second_vertex(self):

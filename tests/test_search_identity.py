@@ -19,7 +19,6 @@ import itertools
 import json
 import logging
 import math
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -28,11 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcause import discovery
-from confcause.dataset import Dataset, Kind, Role, VariableMeta, discretize, load_dataset
-from confcause.discovery import Mark, Pag, PagEdge, _FisherZTester, fci
-from confcause.effects import ModelParams, cpwe, learn_model, update_model
-from confcause.resolve import resolve_edges
-from confcause.stats import covariance, entropy
+from confcause.dataset import Dataset, Kind, Role, VariableMeta, load_dataset
+from confcause.discovery import _FisherZTester, fci
+from confcause.effects import cpwe, learn_model, update_model
+from confcause.stats import covariance
 from confcause.synthbench import generate_scm, sample
 
 
@@ -108,8 +106,9 @@ def _text_digest(text: str) -> str:
 def test_table_dump_and_reload_pinned():
     """A categorical option, a discrete option with negative levels, a
     boolean objective and continuous columns: the written table, the model
-    learned from reading it back, and the table written again, which now
-    labels booleans and recodes the categories in first-appearance order."""
+    learned from reading it back, and the table written again, which is the
+    same text: the categories are recoded in first-appearance order but
+    keep their labels, and the boolean is written as 0/1 both times."""
     base = sample(generate_scm(3, 6, 2, 0.4, seed=5, boolean_objectives=1), 1200)
     cols = dict(base.columns)
     cols["o02"] = cols["o02"] - 1
@@ -132,9 +131,7 @@ def test_table_dump_and_reload_pinned():
     )
     again = io.StringIO()
     loaded.dump_table(again)
-    assert _text_digest(again.getvalue()) == (
-        "c37ece80d49b4f806f8b5697920a2c6e63a84c180cfb43fcacc2d540e2cd0e39"
-    )
+    assert again.getvalue() == table.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -717,143 +714,6 @@ def test_speculation_windows_stay_within_the_stack_cap(monkeypatch):
     fci(ds)
     assert any(queries > 1 for _, queries in calls)
     assert all(rows <= 10 or queries == 1 for rows, queries in calls)
-
-
-def test_window_closer_blocks_are_built_once(monkeypatch):
-    """The pair whose rows would overflow a window opens the next one with
-    the blocks it already built: with a small cap, many windows close, and
-    no pair's blocks are built twice on one pool."""
-    ds = sample(generate_scm(4, 10, 2, 0.3, seed=2, n_latents=1), 1500)
-    built, driver = [], discovery._in_search_order
-
-    def spy(tester, pairs, pool_of, blocks_of):
-        seen = set()
-
-        def recording(x, y, pool):  # a pool is None, a tuple or bytes
-            built.append((x, y, pool) in seen)
-            seen.add((x, y, pool))
-            return blocks_of(x, y, pool)
-
-        return driver(tester, pairs, pool_of, recording)
-
-    monkeypatch.setattr(discovery, "_STACK_CAP", 10)
-    monkeypatch.setattr(discovery, "_in_search_order", spy)
-    fci(ds)
-    assert len(built) > 100 and not any(built)
-
-
-# --------------------------------------------------------------------------
-# the neighbour pass does not depend on the variables' names
-
-
-def _renamed(ds: Dataset, rng) -> tuple[Dataset, dict[str, str]]:
-    """The dataset with its variables renamed by a permutation within each
-    role, the same columns in the same table order; and the renaming."""
-    names = {}
-    for role in Role:
-        same = [v.name for v in ds.variables if v.role == role]
-        names.update(zip(same, rng.sample(same, len(same))))
-    variables = tuple(replace(v, name=names[v.name]) for v in ds.variables)
-    return Dataset(variables, {names[n]: ds.column(n) for n in ds.names}, ds.sample_count), names
-
-
-def _neighbour_skeleton(ds: Dataset, max_cond_size: int) -> set[frozenset[str]]:
-    """The adjacencies ``_prune_by_neighbors`` leaves of the role-allowed
-    complete graph."""
-    tester = _engine(ds)
-    sc = discovery.build_constraints(ds.variables)
-    adj = np.array([[u != v and sc.allows_adjacency(u, v) for v in tester.names]
-                    for u in tester.names])
-    discovery._prune_by_neighbors(tester, adj, {}, max_cond_size)
-    return {frozenset((tester.names[x], tester.names[y]))
-            for x, y in zip(*np.nonzero(np.triu(adj, 1)))}
-
-
-def _assert_rename_invariant(ds, rng, max_cond_size=3):
-    renamed, names = _renamed(ds, rng)
-    back = {new: old for old, new in names.items()}
-    skeleton = _neighbour_skeleton(renamed, max_cond_size)
-    assert {frozenset(map(back.get, pair)) for pair in skeleton} == (
-        _neighbour_skeleton(ds, max_cond_size)
-    )
-
-
-# the systems of ``test_fci_output_and_test_count_pinned``
-_PINNED_SYSTEMS = pytest.mark.parametrize(
-    "args, kwargs, rows",
-    [((3, 6, 1, 0.3), {}, 400), ((6, 12, 2, 0.3), {"n_latents": 1}, 3000),
-     ((8, 24, 2, 0.15), {}, 2000)],
-    ids=["small", "latent", "wide"],
-)
-
-
-@_PINNED_SYSTEMS
-def test_neighbour_skeleton_does_not_depend_on_names(args, kwargs, rows):
-    _assert_rename_invariant(sample(generate_scm(*args, **kwargs), rows), random.Random(0))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    shape=st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(1, 2)),
-    density=st.sampled_from([0.2, 0.35, 0.5]),
-    latents=st.integers(0, 1),
-    seed=st.integers(0, 2**16),
-    rows=st.sampled_from([12, 40, 150, 600]),
-    max_cond_size=st.integers(0, 4),
-    rng=st.randoms(use_true_random=False),
-)
-def test_neighbour_skeleton_does_not_depend_on_names_random(
-    shape, density, latents, seed, rows, max_cond_size, rng
-):
-    ds = sample(generate_scm(*shape, density, seed=seed, n_latents=latents), rows)
-    _assert_rename_invariant(ds, rng, max_cond_size)
-
-
-def _renamed_pag(pag: Pag, names: dict[str, str]) -> Pag:
-    """``pag`` with its vertices renamed by ``names``, each edge's ends in
-    name order again."""
-    edges = []
-    for e in pag.edges:
-        u, v, mark_u, mark_v = names[e.u], names[e.v], e.mark_u, e.mark_v
-        if v < u:
-            u, v, mark_u, mark_v = v, u, mark_v, mark_u
-        edges.append(PagEdge(u, v, mark_u, mark_v))
-    return Pag(
-        tuple(replace(v, name=names[v.name]) for v in pag.vertices),
-        tuple(sorted(edges, key=lambda e: (e.u, e.v))),
-        {frozenset(map(names.get, pair)): frozenset(map(names.get, sep))
-         for pair, sep in pag.sepsets.items()},
-    )
-
-
-@_PINNED_SYSTEMS
-def test_edge_resolution_does_not_depend_on_names(args, kwargs, rows):
-    """``resolve_edges`` on a fixed PAG, with the PAG and the discretized
-    data renamed alike, gives the same edges once mapped back. The one
-    exception is the direction of an undecided edge whose ends have equal
-    marginal entropy, as every pair of equal-frequency-binned continuous
-    columns has: the two conditional entropies then tie exactly, and the
-    direction follows name order."""
-    ds = sample(generate_scm(*args, **kwargs), rows)
-    pag, data = fci(ds), discretize(ds, ModelParams().bins)
-    want = resolve_edges(pag, data)
-    h = {name: entropy(data, [name]) for name in data.names}
-    copied = {(Mark.TAIL, Mark.ARROW), (Mark.ARROW, Mark.TAIL), (Mark.ARROW, Mark.ARROW)}
-    tied = {frozenset((e.u, e.v)) for e in pag.edges
-            if (e.mark_u, e.mark_v) not in copied and h[e.u] == h[e.v]}
-
-    def untied(directed):
-        return {edge for edge in directed if frozenset(edge) not in tied}
-
-    rng = random.Random(0)
-    for _ in range(3):
-        renamed, names = _renamed(data, rng)
-        back = {new: old for old, new in names.items()}
-        got = resolve_edges(_renamed_pag(pag, names), renamed)
-        directed = {(back[u], back[v]) for u, v in got.directed}
-        assert untied(directed) == untied(want.directed)
-        assert set(map(frozenset, directed)) == set(map(frozenset, want.directed))
-        assert {frozenset(map(back.get, pair)) for pair in got.bidirected} == want.bidirected
 
 
 def test_stacked_partial_correlation_is_bit_identical():
