@@ -1,6 +1,6 @@
 """Cooperative bug isolation baseline: correlation-based predicate ranking.
 
-Mines boolean predicates over option and metric columns, scores each by how
+Mines boolean predicates over option columns, scores each by how
 much observing it true increases the failure rate over the ambient failure
 rate, and ranks options by their best predicate. Purely associational — no
 graph, no adjustment — which is exactly what makes it a baseline.
@@ -57,7 +57,7 @@ def _counts(
 
 
 def mine_predicates(ds: Dataset, fault_labels: np.ndarray) -> list[Predicate]:
-    """Candidate predicates over every option and metric column.
+    """Candidate predicates over every option column.
 
     Numeric columns yield greater-than predicates at each interior
     discretization edge (equal-frequency, five bins, so four predicates for a
@@ -72,7 +72,7 @@ def mine_predicates(ds: Dataset, fault_labels: np.ndarray) -> list[Predicate]:
         )
     out: list[Predicate] = []
     for meta in ds.variables:
-        if meta.role == Role.OBJECTIVE:
+        if meta.role != Role.OPTION:
             continue
         col = ds.column(meta.name)
         if meta.kind in (Kind.BOOLEAN, Kind.CATEGORICAL):
@@ -154,8 +154,6 @@ def cbi_rank(
     preds = mine_predicates(ds, fault_labels)
     best: dict[str, float] = {name: 0.0 for name in ds.options}
     for pred in preds:
-        if pred.variable not in best:
-            continue  # metric predicates inform debugging but are not ranked
         score = importance(pred, ci_level)
         if score > best[pred.variable]:
             best[pred.variable] = score
@@ -166,13 +164,12 @@ def cbi_root_causes(
     ds: Dataset,
     fault_labels: np.ndarray,
     top_k: int = 4,
-    ci_level: float = 0.95,
 ) -> list[str]:
     """Predicted root causes: positive-importance options, best first, capped
     at ``top_k`` (zero-score options are never predicted)."""
     if ds.sample_count == 0:
         raise EmptyDataset("no rows to rank options on")
-    ranked = cbi_rank(ds, fault_labels, ci_level)
+    ranked = cbi_rank(ds, fault_labels)
     return [name for name, score in ranked[:top_k] if score > 0.0]
 
 

@@ -351,18 +351,18 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "such as DEBUG, INFO or WARNING", level=level)
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
-    except EngineError as err:
-        print(json.dumps(err.to_json_dict(), sort_keys=True), file=sys.stderr)
-        return err.exit_code
-    except OSError as err:
-        print(json.dumps({"error": str(err), "kind": "OSError"}, sort_keys=True),
-              file=sys.stderr)
-        return 2
-    except Exception as err:  # pragma: no cover - defensive
-        logger.exception("unexpected failure")
-        print(json.dumps({"error": str(err), "kind": type(err).__name__},
-                         sort_keys=True), file=sys.stderr)
-        return 4
+    except Exception as err:
+        # one error object for every failure: the class, the message and
+        # an EngineError's details
+        if isinstance(err, EngineError):
+            payload, code = err.to_json_dict(), err.exit_code
+        else:
+            if not isinstance(err, OSError):
+                logger.exception("unexpected failure")
+            payload = {"error": type(err).__name__, "message": str(err)}
+            code = 2 if isinstance(err, OSError) else 4
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping
@@ -59,18 +59,40 @@ class Kind(str, Enum):
     CATEGORICAL = "categorical"
 
 
+def _record_json(value):
+    """A record as JSON values, recursively: a dataclass as a dict of its
+    fields, less those whose metadata holds ``json=False``; an enum as its
+    value, a mapping as a dict, a tuple as a list and a set as a sorted list."""
+    if is_dataclass(value):
+        return {f.name: _record_json(getattr(value, f.name))
+                for f in fields(value) if f.metadata.get("json", True)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {k: _record_json(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(_record_json, value))
+    if isinstance(value, tuple):
+        return [_record_json(v) for v in value]
+    return value
+
+
+class _Record:
+    """A dataclass whose JSON is its fields, as ``_record_json`` writes them."""
+
+    def to_json_dict(self) -> dict:
+        return _record_json(self)
+
+
 @dataclass(frozen=True)
-class VariableMeta:
-    """Name, role and kind of one column; ``domain`` maps codes back to labels."""
+class VariableMeta(_Record):
+    """Name, role and kind of one column; ``domain`` maps codes back to
+    labels, and a model file does not carry it."""
 
     name: str
     role: Role
     kind: Kind
-    domain: tuple[str, ...] | None = None
-
-    def to_json_dict(self) -> dict[str, str]:
-        """Name, role and kind; a model file does not carry the domain."""
-        return {"name": self.name, "role": self.role.value, "kind": self.kind.value}
+    domain: tuple[str, ...] | None = field(default=None, metadata={"json": False})
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, str]) -> "VariableMeta":

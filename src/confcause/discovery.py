@@ -23,14 +23,14 @@ import logging
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Role, VariableMeta
+from .dataset import Dataset, Role, VariableMeta, _record_json
 from .errors import EmptyDataset, InputError, InsufficientSamples, UnknownVariable
 from .stats import (_DECISION_BAND, _SCHUR_SLACK, _SCREEN_LIMIT, _critical_rho,
                     _fisher_z_independent, _schur_partial_corrs, covariance,
@@ -74,7 +74,7 @@ class Pag:
 
     vertices: tuple[VariableMeta, ...]
     edges: tuple[PagEdge, ...]
-    sepsets: Mapping[frozenset[str], frozenset[str]]
+    sepsets: Mapping[frozenset[str], frozenset[str]] = field(metadata={"json": False})
     conflicts: tuple[str, ...] = ()
 
     def edge_marks(self) -> dict[tuple[str, str], tuple[Mark, Mark]]:
@@ -84,23 +84,13 @@ class Pag:
         return frozenset(frozenset((e.u, e.v)) for e in self.edges)
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertices": [v.to_json_dict() for v in self.vertices],
-            "edges": [
-                {"u": e.u, "v": e.v, "mark_u": e.mark_u.value, "mark_v": e.mark_v.value}
-                for e in self.edges
-            ],
-            "sepsets": [
-                {"pair": sorted(pair), "separator": sorted(sep)}
-                for pair, sep in sorted(
-                    self.sepsets.items(), key=lambda kv: sorted(kv[0])
-                )
-            ],
-            "conflicts": list(self.conflicts),
-        }
+        """The fields, with the sepsets, whose keys are sets, as a sorted list."""
+        sepsets = sorted(({"pair": sorted(pair), "separator": sorted(sep)}
+                          for pair, sep in self.sepsets.items()), key=lambda s: s["pair"])
+        return {**_record_json(self), "sepsets": sepsets}
 
-    def to_dot(self, name: str = "pag") -> str:
-        lines = _dot_nodes(name, self.vertices)
+    def to_dot(self) -> str:
+        lines = _dot_nodes("pag", self.vertices)
         for e in self.edges:
             lines.append(
                 f'  "{e.u}" -> "{e.v}" [dir=both, arrowtail={_DOT_ARROW[e.mark_u]}, '

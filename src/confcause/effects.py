@@ -13,12 +13,13 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Kind, Role, _check_bins, _equal_frequency_codes, discretize
+from .dataset import (Dataset, Kind, Role, _check_bins, _equal_frequency_codes, _Record,
+                      _record_json, discretize)
 from .discovery import Pag, _simple_paths, fci
 from .errors import (
     EmptyDataset,
@@ -30,15 +31,6 @@ from .resolve import Admg, resolve_edges
 from .stats import _joint_codes, _levels
 
 logger = logging.getLogger(__name__)
-
-
-def _record_json(value):
-    """A dataclass as a dict of its fields, recursively, with tuples as lists."""
-    if is_dataclass(value):
-        return {f.name: _record_json(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_record_json(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -75,16 +67,13 @@ class AceEstimate:
 
 
 @dataclass(frozen=True)
-class CausalPath:
+class CausalPath(_Record):
     """A directed-or-confounded chain from an option into an objective."""
 
     vertices: tuple[str, ...]
     objective: str
     path_ace: float
     edge_aces: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return _record_json(self)
 
 
 @dataclass(frozen=True)
@@ -96,12 +85,10 @@ class Diagnosis:
     root_causes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": "care",
-            "objective": self.fault_objective,
-            "paths": [p.to_json_dict() for p in self.ranked_paths],
-            "root_causes": list(self.root_causes),
-        }
+        """The fields, the objective and paths under their file keys, and the method."""
+        out = _record_json(self)
+        return {"method": "care", "objective": out.pop("fault_objective"),
+                "paths": out.pop("ranked_paths"), **out}
 
 
 # --------------------------------------------------------------------------

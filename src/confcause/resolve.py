@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Mapping
 
-from .dataset import Dataset, Role, VariableMeta
+from .dataset import Dataset, Role, VariableMeta, _Record
 from .discovery import Mark, Pag, StructuralConstraints, _dot_nodes, build_constraints
 from .errors import EngineError, InputError, UnknownVertex
 from .stats import contingency_table, count_bits, coupling_bits
 
 
 @dataclass(frozen=True)
-class Admg:
+class Admg(_Record):
     """Acyclic directed mixed graph over named vertices."""
 
     vertices: tuple[VariableMeta, ...]
@@ -93,14 +93,6 @@ class Admg:
     def topological_order(self) -> tuple[str, ...]:
         return self._order
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [v.to_json_dict() for v in self.vertices],
-            "directed": [[u, v] for u, v in sorted(self.directed)],
-            "bidirected": [sorted(pair) for pair in sorted(self.bidirected, key=sorted)],
-            "notes": list(self.notes),
-        }
-
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Admg":
         vertices = tuple(map(VariableMeta.from_json_dict, payload["vertices"]))
@@ -108,8 +100,8 @@ class Admg:
         bidirected = frozenset(frozenset(p) for p in payload.get("bidirected", []))
         return cls(vertices, directed, bidirected, tuple(payload.get("notes", ())))
 
-    def to_dot(self, name: str = "model") -> str:
-        lines = _dot_nodes(name, self.vertices)
+    def to_dot(self) -> str:
+        lines = _dot_nodes("model", self.vertices)
         for u, v in sorted(self.directed):
             lines.append(f'  "{u}" -> "{v}";')
         for pair in sorted(self.bidirected, key=sorted):

@@ -13,17 +13,16 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cbi import cbi_root_causes, fault_labels_for
-from .dataset import Dataset, Kind, Role, VariableMeta
+from .dataset import Dataset, Kind, Role, VariableMeta, _Record, _record_json
 from .effects import (
     Diagnosis,
     ModelParams,
-    _record_json,
     ace_edge,
     cpwe,
     learn_model,
@@ -58,7 +57,7 @@ def _record_fields(cls: type, payload: Mapping) -> dict:
 
 
 @dataclass(frozen=True)
-class Mechanism:
+class Mechanism(_Record):
     """Generating equation for one variable.
 
     Kinds:
@@ -79,16 +78,14 @@ class Mechanism:
     hidden_parents: tuple[str, ...] = ()
     hidden_weights: tuple[float, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return _record_json(self)
-
 
 @dataclass(frozen=True)
-class Scm:
-    """A ground-truth structural causal model with its mixed graph."""
+class Scm(_Record):
+    """A ground-truth structural causal model with its mixed graph, which its
+    file leaves out: the mechanisms imply it."""
 
     variables: tuple[VariableMeta, ...]
-    graph: Admg
+    graph: Admg = field(metadata={"json": False})
     mechanisms: Mapping[str, Mechanism]
     hidden: tuple[str, ...] = ()
     seed: int = 0
@@ -100,17 +97,6 @@ class Scm:
     @property
     def objectives(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.role == Role.OBJECTIVE)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variables": [v.to_json_dict() for v in self.variables],
-            "mechanisms": {
-                name: mech.to_json_dict()
-                for name, mech in sorted(self.mechanisms.items())
-            },
-            "hidden": list(self.hidden),
-            "seed": self.seed,
-        }
 
 
 def scm_from_mechanisms(
@@ -239,12 +225,11 @@ def sample(scm: Scm, n: int) -> Dataset:
     return intervene(scm, {}, n)
 
 
-def interventional_ace(
-    scm: Scm, treatment: str, outcome: str, n: int = 20000
-) -> float:
+def interventional_ace(scm: Scm, treatment: str, outcome: str) -> float:
     """Oracle average causal effect by simulation: intervene at every level
-    of a discrete treatment and average the pairwise absolute differences of
-    the outcome means. Paired noise streams make level contrasts tight."""
+    of a discrete treatment, 20,000 rows each, and average the pairwise
+    absolute differences of the outcome means. Paired noise streams make
+    level contrasts tight."""
     mech = scm.mechanisms.get(treatment)
     if mech is None:
         raise UnknownVertex(f"no such vertex: {treatment!r}", vertex=treatment)
@@ -261,7 +246,7 @@ def interventional_ace(
         )
     mus = []
     for level in range(n_levels):
-        data = intervene(scm, {treatment: level}, n)
+        data = intervene(scm, {treatment: level}, 20000)
         mus.append(float(data.column(outcome).astype(np.float64).mean()))
     pairs = list(itertools.combinations(range(n_levels), 2))
     return float(np.mean([abs(mus[i] - mus[j]) for i, j in pairs]))
@@ -389,7 +374,7 @@ class FaultEntry:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(_Record):
     faults: tuple[FaultEntry, ...]
 
     def entry_for(self, objective: str) -> FaultEntry:
@@ -399,9 +384,6 @@ class GroundTruth:
         raise ObjectiveMismatch(
             f"no ground-truth fault for objective {objective!r}", objective=objective
         )
-
-    def to_json_dict(self) -> dict:
-        return _record_json(self)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "GroundTruth":
@@ -455,7 +437,7 @@ def curate_ground_truth(scm: Scm, ds: Dataset) -> GroundTruth:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Record):
     objective: str
     tp: int
     fp: int
@@ -466,9 +448,6 @@ class EvalReport:
     recall: float
     f1: float
     rmse: float
-
-    def to_json_dict(self) -> dict:
-        return _record_json(self)
 
 
 def _precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -638,14 +617,11 @@ def make_fault_benchmark(
 
 
 @dataclass(frozen=True)
-class FaultOutcome:
+class FaultOutcome(_Record):
     scm_index: int
     objective: str
     care: EvalReport
     cbi: EvalReport
-
-    def to_json_dict(self) -> dict:
-        return _record_json(self)
 
 
 @dataclass(frozen=True)
@@ -668,11 +644,8 @@ class BenchmarkReport:
         }
 
     def to_json_dict(self) -> dict:
-        return {
-            "outcomes": [o.to_json_dict() for o in self.outcomes],
-            "care": self.totals("care"),
-            "cbi": self.totals("cbi"),
-        }
+        """The outcomes and each method's totals."""
+        return {**_record_json(self), "care": self.totals("care"), "cbi": self.totals("cbi")}
 
 
 def run_benchmark(

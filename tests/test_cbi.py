@@ -138,8 +138,7 @@ class TestMining:
         # discrete: one split between each pair of adjacent levels
         assert [p.threshold for p in by_var["level"]] == [0.0, 1.0]
         assert {p.relation for p in by_var["level"]} == {Relation.GREATER_THAN}
-        # continuous: interior equal-frequency edges of a 5-bin split
-        assert len(by_var["load"]) == 4
+        assert "load" not in by_var  # a metric yields no predicate
 
     def test_counts_are_exact(self):
         variables = (

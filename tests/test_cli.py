@@ -79,6 +79,18 @@ class TestLearn:
         assert payload["error"] == "InputError"
         assert payload["details"] == {"path": str(tmp_path / "nope.csv")}
 
+    def test_os_error_prints_the_engine_error_shape(self, chain_files, tmp_path, capsys):
+        data, roles = chain_files
+        (tmp_path / "file").write_text("")
+        code, _, err = run(
+            ["learn", "--data", data, "--roles", roles,
+             "--out", tmp_path / "file" / "sub"], capsys
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "NotADirectoryError"
+        assert "message" in payload
+
     @pytest.mark.parametrize("ratio", ["0", "-1", "nan"])
     def test_bad_theta_ratio_is_exit_2(self, chain_files, tmp_path, capsys, ratio):
         data, roles = chain_files

@@ -1,9 +1,12 @@
 """Pinned CLI artifacts: the SHA-256 of every file the acceptance suite's
 reproducibility check (test_9) writes, so a change that is meant to keep
 the outputs byte-identical is checked against fixed bytes, not only
-against a rerun of itself."""
+against a rerun of itself. A second run pins the record shapes that first
+system lacks: hidden variables, bidirected edges, a boolean objective and a
+labelled option column."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -22,6 +25,17 @@ GOLDENS = {
     "rank.json": "d640efa6b2f96d7159dc6f47b4414739c4bb26f17ec4b6c54be4d59c445baa27",
     "eval.json": "6e4824d0009ec3126a334267a324528a165119fa11ec68bb41127e16c08e5830",
     "bench.json": "0a655db7a7eb9597fd5ee37775e687889d3634a87fb833ee6be8c44beee781d8",
+}
+
+
+# synth with two latents and a boolean objective, o01 loaded as categorical
+LATENT_GOLDENS = {
+    "synth/scm.json": "5beb3f1ea60a1e7ad48c2a71ce999a8af85ec23e15a250675cecb7ede76dd58d",
+    "synth/truth.json": "ceeabd824b2036220c54d94345702519aee5fd03760486b1355aca8b1a4b46b8",
+    "learn/pag.json": "5bef984cbecef6ef269d8b213bcaac954525bc8dc062985c6b998249e5399e12",
+    "learn/model.json": "d9c29e7e70c45b8135cbeb805f950006aa45833f0aa0755988a1f9babe480c7d",
+    "learn/model.dot": "39e505d45612486f4df5a01b73e25f69d86978f7d8d73f961305cac3b955d73c",
+    "rank.json": "fa410d6a8a31e84b1f9ebd95159dd3fa6130836e86cd5831124a410856716bc9",
 }
 
 
@@ -47,7 +61,42 @@ def artifacts(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def latent_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("latent-goldens")
+    roles = root / "synth" / "roles.json"
+    assert main([str(a) for a in [
+        "synth", "--options", 3, "--metrics", 6, "--objectives", 2,
+        "--boolean-objectives", 1, "--latents", 2, "--rows", 5000, "--seed", 5,
+        "--out", root / "synth"]]) == 0
+    spec = json.loads(roles.read_text())
+    spec["o01"]["kind"] = "categorical"
+    roles.write_text(json.dumps(spec))
+    base = ["--data", root / "synth" / "data.csv", "--roles", roles]
+    for argv in (["learn", *base, "--out", root / "learn"],
+                 ["rank", *base, "--out", root / "rank.json"]):
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    return root
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_artifact_bytes_are_pinned(artifacts, name):
     got = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert got == GOLDENS[name], name
+
+
+@pytest.mark.parametrize("name", sorted(LATENT_GOLDENS))
+def test_latent_artifact_bytes_are_pinned(latent_artifacts, name):
+    got = hashlib.sha256((latent_artifacts / name).read_bytes()).hexdigest()
+    assert got == LATENT_GOLDENS[name], name
+
+
+def test_latent_artifacts_hold_the_shapes_they_pin(latent_artifacts):
+    """The pinned run holds what the first one lacks, so its digests cover
+    the JSON of hidden variables, bidirected edges and a labelled column."""
+    scm, pag, model = (json.loads((latent_artifacts / name).read_text())
+                       for name in ("synth/scm.json", "learn/pag.json", "learn/model.json"))
+    assert scm["hidden"] == ["h01", "h02"]
+    assert len(model["bidirected"]) == 3
+    assert sum(e["mark_u"] == e["mark_v"] == "arrow" for e in pag["edges"]) == 3
+    assert {"name": "o01", "role": "option", "kind": "categorical"} in model["vertices"]
