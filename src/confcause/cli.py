@@ -6,9 +6,10 @@ correlation baseline), ``rank`` paths for every objective, ``synth`` a
 ground-truth system to disk, ``eval`` a prediction against ground truth,
 and ``bench`` the twenty-fault comparison study.
 
-All file output is JSON with sorted keys written atomically, so a fixed
-seed yields byte-identical artifacts. Exit codes: 0 success, 2 invalid
-input, 3 empty result, 4 internal failure.
+Every JSON file is written with sorted keys and atomically; ``synth`` writes
+its table and roles file in place with ``Dataset.save``. A fixed seed yields
+byte-identical artifacts. Exit codes: 0 success, 2 invalid input, 3 empty
+result, 4 internal failure.
 """
 
 from __future__ import annotations

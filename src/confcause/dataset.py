@@ -99,6 +99,15 @@ class VariableMeta(_Record):
         return cls(payload["name"], Role(payload["role"]), Kind(payload["kind"]))
 
 
+def _csv_field(label: str, alone: bool) -> str:
+    """``label`` as ``csv.writer`` writes it in a row: the text of the row
+    ``[label, ""]`` less its ``,\\n``, or of ``[label]`` less its ``\\n`` when
+    it is the row's only field, which the writer quotes when empty."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([label] if alone else [label, ""])
+    return out.getvalue()[:-1 if alone else -2]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column store. ``columns[name]`` is a 1-D array of length
@@ -183,22 +192,29 @@ class Dataset:
     # -- serialization ------------------------------------------------------
 
     def dump_table(self, stream: IO[str]) -> None:
-        """Write the header, then the rows ``_DUMP_ROWS`` at a time: a coded
-        column's labels, ``repr`` of each continuous value, and the other
-        columns' integers."""
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(self.names)
+        """Write the header with ``csv.writer``, then the rows ``_DUMP_ROWS``
+        at a time, each as one ``",".join`` of its cells: a coded column's
+        labels, quoted once per column by ``_csv_field``, ``repr`` of each
+        continuous value as a float64, and the other columns' values as
+        int64. A float's ``repr`` and an integer hold no delimiter, quote or
+        line end, so the bytes are ``csv.writer``'s."""
+        csv.writer(stream, lineterminator="\n").writerow(self.names)
+        alone = len(self.variables) == 1
+        quoted = {v.name: [_csv_field(label, alone) for label in v.domain]
+                  for v in self.variables if v.domain is not None}
         for start in range(0, self.sample_count, _DUMP_ROWS):
             cells = []
             for v in self.variables:
-                values = self.columns[v.name][start:start + _DUMP_ROWS].tolist()
+                block = self.columns[v.name][start:start + _DUMP_ROWS]
+                # astype copies only a column held in another dtype
                 if v.domain is not None:
-                    cells.append(map(v.domain.__getitem__, map(int, values)))
+                    cells.append(map(quoted[v.name].__getitem__,
+                                     block.astype(np.int64, copy=False).tolist()))
                 elif v.kind == Kind.CONTINUOUS:
-                    cells.append(map(repr, map(float, values)))
+                    cells.append(map(repr, block.astype(np.float64, copy=False).tolist()))
                 else:
-                    cells.append(map(str, map(int, values)))
-            writer.writerows(zip(*cells))
+                    cells.append(map(str, block.astype(np.int64, copy=False).tolist()))
+            stream.writelines(map("{}\n".format, map(",".join, zip(*cells))))
 
     def dump_roles(self, stream: IO[str]) -> None:
         payload = {

@@ -173,8 +173,9 @@ def ace_edge(
         ds.meta(name)
     if treatment == outcome:
         raise InputError("treatment and outcome must differ", vertex=treatment)
-    blocked = admg.ancestors(outcome) | {outcome}
-    for w in admg.spouses(treatment):
+    spouses = admg.spouses(treatment)  # only a confounded treatment needs the walk
+    blocked = admg.ancestors(outcome) | {outcome} if spouses else frozenset()
+    for w in spouses:
         if w in blocked:
             raise UnidentifiableEffect(
                 f"{treatment!r} is confounded with {w!r}, which reaches {outcome!r}",

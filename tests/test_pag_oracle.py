@@ -32,7 +32,21 @@ from confcause.synthbench import curate_ground_truth, evaluate, generate_scm, sa
 from oracle import OracleTester
 
 
+# the most observed variables the two helpers below take: the search runs
+# unbounded and the MAG check tries all 2^(p-2) sets of each pair, and the
+# oracle caches every answer; on a 30-variable system that passed 4.6 GB
+MAX_ORACLE_VARIABLES = 8
+
+
+def _check_size(names) -> None:
+    assert len(names) <= MAX_ORACLE_VARIABLES, (
+        f"{len(names)} observed variables: the unbounded oracle search and "
+        f"brute-force MAG check take at most {MAX_ORACLE_VARIABLES}"
+    )
+
+
 def _oracle_pag(scm):
+    _check_size(scm.variables)
     oracle = OracleTester(scm.graph)
     pag = discovery._search(oracle, scm.variables, len(scm.variables))
     return pag, oracle
@@ -41,6 +55,7 @@ def _oracle_pag(scm):
 def _mag_adjacencies(oracle: OracleTester) -> set[frozenset[str]]:
     """Pairs no subset of the other observed variables separates."""
     names = oracle.names
+    _check_size(names)
     adjacent = set()
     for u, v in itertools.combinations(names, 2):
         rest = [w for w in names if w not in (u, v)]
@@ -88,11 +103,10 @@ def test_oracle_search_is_sound_on_seeded_systems(shape, density, n_latents, see
     _assert_sound(scm)
 
 
-# generated systems of at most eight observed variables, so that the
-# brute-force MAG adjacencies stay cheap
+# generated systems within the helpers' size limit
 oracle_systems = st.builds(
     lambda o, m, y, density, latents, seed: generate_scm(
-        o, min(m, 8 - o - y), y, density, seed=seed, n_latents=latents),
+        o, min(m, MAX_ORACLE_VARIABLES - o - y), y, density, seed=seed, n_latents=latents),
     st.integers(1, 3), st.integers(1, 5), st.integers(1, 2),
     st.sampled_from([0.3, 0.5, 0.8]), st.integers(0, 2), st.integers(0, 2**16))
 

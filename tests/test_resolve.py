@@ -7,9 +7,10 @@ import pytest
 
 from confcause.dataset import Dataset, Kind, Role, VariableMeta
 from confcause.discovery import Mark, Pag, PagEdge, fci
+from confcause.effects import learn_model
 from confcause.errors import EngineError, InputError
 from confcause.resolve import Admg, entropy_threshold, resolve_edges
-from confcause.synthbench import sample
+from confcause.synthbench import generate_scm, sample
 
 from test_discovery import confounded_system
 
@@ -194,6 +195,29 @@ def test_full_pipeline_leaves_no_ambiguity():
     resolved = {frozenset((u, v)) for u, v in admg.directed} | set(admg.bidirected)
     assert resolved == pag.adjacencies()
     assert admg.topological_order()  # acyclic by construction
+
+
+@pytest.mark.parametrize("shape, n_latents, rows", [
+    ((8, 24, 2, 0.15), 0, 5000),
+    ((4, 10, 2, 0.3), 3, 60000),
+], ids=["wide", "tall"])
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4: an "
+                   "entropy tie emits v -> u whatever the search decided at v")
+def test_resolution_keeps_the_searchs_arrowheads(shape, n_latents, rows):
+    """An arrowhead the search put at v says v is not an ancestor of u, so
+    ``u o-> v`` may resolve as u -> v or u <-> v, never v -> u. Measured:
+    on ``wide`` m09 o-> m13 becomes m13 -> m09, and 6 of ``tall``'s 10 such
+    edges turn round."""
+    ds = sample(generate_scm(*shape, seed=0, n_latents=n_latents), rows)
+    pag, model = learn_model(ds)
+    turned = [
+        (tail, head)
+        for e in pag.edges
+        for tail, head, at_tail, at_head in ((e.u, e.v, e.mark_u, e.mark_v),
+                                             (e.v, e.u, e.mark_v, e.mark_u))
+        if (at_tail, at_head) == (Mark.CIRCLE, Mark.ARROW) and (head, tail) in model.directed
+    ]
+    assert turned == []
 
 
 def test_annotations_resolve():

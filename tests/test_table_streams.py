@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confcause import dataset
@@ -164,7 +164,7 @@ def test_edge_files_match_the_csv_path(tmp_path, raw, roles_ok):
 
 def _whole_column_dump(ds: Dataset, stream) -> None:
     """The writer before it worked in blocks of rows: every column turned
-    into Python values at once."""
+    into Python values at once, and every row written by ``csv.writer``."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(ds.names)
     cells = []
@@ -177,6 +177,20 @@ def _whole_column_dump(ds: Dataset, stream) -> None:
         else:
             cells.append(map(str, map(int, values)))
     writer.writerows(zip(*cells))
+
+
+def _assert_dumps_as_the_csv_writer(ds: Dataset) -> None:
+    """Reports the first difference only: a diff of whole tables takes
+    pytest minutes to render."""
+    got, want = io.StringIO(), io.StringIO()
+    ds.dump_table(got)
+    _whole_column_dump(ds, want)
+    got, want = got.getvalue(), want.getvalue()
+    if got != want:
+        at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                  min(len(got), len(want)))
+        around = slice(max(at - 20, 0), at + 20)
+        pytest.fail(f"differs at {at}: {got[around]!r} vs {want[around]!r}")
 
 
 def _every_kind(rows: int, seed: int = 0) -> Dataset:
@@ -203,11 +217,75 @@ def _every_kind(rows: int, seed: int = 0) -> Dataset:
     [0, 1, dataset._DUMP_ROWS - 1, dataset._DUMP_ROWS, 2 * dataset._DUMP_ROWS + 17],
 )
 def test_block_dump_is_byte_identical_to_the_whole_column_writer(rows):
+    _assert_dumps_as_the_csv_writer(_every_kind(rows))
+
+
+# the characters that make csv.writer quote a label, or that it must keep
+_LABEL_CHARS = [",", '"', "\r", "\n", " ", "a", "\u00e9"]
+_KINDS = [Kind.CONTINUOUS, Kind.DISCRETE, Kind.BOOLEAN, Kind.CATEGORICAL]
+_EDGE_ROWS = [0, 1, dataset._DUMP_ROWS - 1, dataset._DUMP_ROWS, dataset._DUMP_ROWS + 1]
+
+
+def _drawn_table(kinds, labels, rows: int, seed: int) -> Dataset:
+    """One column per kind; a categorical column takes the next labels."""
+    rng = np.random.default_rng(seed)
+    labels, variables, columns = iter(labels), [], {}
+    for j, kind in enumerate(kinds):
+        name, domain = f"c{j}", None
+        if kind == Kind.CATEGORICAL:
+            domain = next(labels)
+            columns[name] = rng.integers(0, len(domain), rows)
+        elif kind == Kind.CONTINUOUS:
+            values = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+            special = [-0.0, 1.0, 1e16, 2.0**-1074, np.inf, np.nan]
+            values[rng.random(rows) < 0.1] = rng.choice(special)
+            columns[name] = values
+        elif kind == Kind.BOOLEAN:
+            columns[name] = rng.integers(0, 2, rows)
+        else:
+            columns[name] = rng.integers(-(2**63), 2**63 - 1, rows)
+        variables.append(VariableMeta(name, Role.METRIC, kind, domain))
+    return Dataset(tuple(variables), columns, rows)
+
+
+@given(
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4),
+    labels=st.lists(
+        st.lists(st.text(st.sampled_from(_LABEL_CHARS), max_size=4),
+                 min_size=1, max_size=4, unique=True),
+        min_size=4, max_size=4,
+    ),
+    rows=st.sampled_from(_EDGE_ROWS + [2, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kinds=[Kind.CATEGORICAL], labels=[["", " a", "\r\n"]] * 4, rows=5, seed=0)
+@example(kinds=[Kind.CATEGORICAL, Kind.CONTINUOUS], labels=[["", '"', ","]] * 4, rows=9, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_dump_is_byte_identical_to_the_csv_writer(kinds, labels, rows, seed):
+    """Labels that need quoting, or are empty (alone in a row, the writer
+    quotes one), single-column tables, and row counts at the block edges."""
+    _assert_dumps_as_the_csv_writer(_drawn_table(kinds, labels, rows, seed))
+
+
+@pytest.mark.parametrize("rows", _EDGE_ROWS)
+@pytest.mark.parametrize("kind", _KINDS)
+def test_single_column_dump_is_byte_identical_to_the_csv_writer(kind, rows):
+    _assert_dumps_as_the_csv_writer(
+        _drawn_table([kind], [["", "x,y", ' "q"', "a\rb\nc"]], rows, seed=rows))
+
+
+def test_columns_of_other_dtypes_dump_as_the_documented_ones():
+    """A column held in another dtype than float64 (continuous) or int64
+    is written as its values converted to that dtype."""
+    rows = dataset._DUMP_ROWS + 3
     ds = _every_kind(rows)
-    got, want = io.StringIO(), io.StringIO()
-    ds.dump_table(got)
-    _whole_column_dump(ds, want)
-    assert got.getvalue() == want.getvalue()
+    columns = {
+        "o_cat": ds.columns["o_cat"].astype(np.float32),
+        "o_disc": np.arange(rows, dtype=np.float64),
+        "m_cont": np.arange(rows, dtype=np.int16),
+        "y_bool": ds.columns["y_bool"].astype(bool),
+    }
+    _assert_dumps_as_the_csv_writer(Dataset(ds.variables, columns, rows))
 
 
 # --------------------------------------------------------------------------
