@@ -150,7 +150,10 @@ def cbi_rank(
     ci_level: float = 0.95,
 ) -> list[tuple[str, float]]:
     """Rank every option by its best predicate importance, descending;
-    ties (including all-zero scores) break lexicographically."""
+    ties (including all-zero scores) break lexicographically. Raises
+    EmptyDataset when there are no rows."""
+    if ds.sample_count == 0:
+        raise EmptyDataset("no rows to rank options on")
     preds = mine_predicates(ds, fault_labels)
     best: dict[str, float] = {name: 0.0 for name in ds.options}
     for pred in preds:
@@ -160,17 +163,13 @@ def cbi_rank(
     return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def cbi_root_causes(
-    ds: Dataset,
-    fault_labels: np.ndarray,
-    top_k: int = 4,
-) -> list[str]:
-    """Predicted root causes: positive-importance options, best first, capped
-    at ``top_k`` (zero-score options are never predicted)."""
-    if ds.sample_count == 0:
-        raise EmptyDataset("no rows to rank options on")
-    ranked = cbi_rank(ds, fault_labels)
-    return [name for name, score in ranked[:top_k] if score > 0.0]
+def cbi_root_causes(ranking: list[tuple[str, float]], top_k: int = 4) -> list[str]:
+    """Predicted root causes from a :func:`cbi_rank` ranking: the
+    positive-importance options among its first ``top_k``, best first
+    (zero-score options are never predicted)."""
+    if top_k < 1:
+        raise InputError(f"top_k must be >= 1, got {top_k}", top_k=top_k)
+    return [name for name, score in ranking[:top_k] if score > 0.0]
 
 
 def fault_labels_for(ds: Dataset, objective: str) -> np.ndarray:

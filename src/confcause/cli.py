@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .cbi import cbi_rank, fault_labels_for
+from .cbi import cbi_rank, cbi_root_causes, fault_labels_for
 from .dataset import Role, _as_text, _parse_roles, load_dataset
 from .effects import Diagnosis, ModelParams, cpwe, diagnose, learn_model
 from .errors import EmptyResultError, EngineError, InputError
@@ -144,16 +144,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                              path=args.model)
         labels = fault_labels_for(ds, args.objective)
         ranking = cbi_rank(ds, labels, ci_level=args.ci_level)
-        causes = tuple(
-            name for name, score in ranking[: args.top_k] if score > 0.0
-        )
+        causes = cbi_root_causes(ranking, args.top_k)
         payload = {
             "method": "cbi",
             "objective": args.objective,
             "ranking": [
                 {"option": name, "importance": score} for name, score in ranking
             ],
-            "root_causes": list(causes),
+            "root_causes": causes,
         }
         lines = [
             f"{i + 1:>3}. {name}  importance={score:.6f}"

@@ -517,16 +517,15 @@ def _equal_frequency_edges(col: np.ndarray, k: int) -> list[float]:
     return edges
 
 
-def _check_bins(bins: int, **details: object) -> None:
+def _check_bins(bins: int) -> None:
     if bins < 2:
-        raise BadBinCount(f"bin_count must be >= 2, got {bins}", bin_count=bins, **details)
+        raise BadBinCount(f"bin_count must be >= 2, got {bins}", bin_count=bins)
 
 
-def _equal_frequency_codes(col: np.ndarray, bins: int, name: str) -> np.ndarray:
-    """Integer codes of ``col`` in ``bins`` equal-frequency bins. Interior
-    bins are right-closed: a value equal to an interior edge falls in the
-    lower bin."""
-    _check_bins(bins, variable=name)
+def _equal_frequency_codes(col: np.ndarray, bins: int) -> np.ndarray:
+    """Integer codes of ``col`` in ``bins`` equal-frequency bins, which the
+    caller has checked. Interior bins are right-closed: a value equal to an
+    interior edge falls in the lower bin."""
     codes = np.zeros(col.shape[0], dtype=np.int64)
     for edge in _equal_frequency_edges(col, bins)[1:-1]:
         codes += col > edge  # count the interior edges strictly below
@@ -546,7 +545,7 @@ def discretize(ds: Dataset, bins: int) -> Dataset:
     metas = []
     for v in ds.variables:
         if v.kind == Kind.CONTINUOUS:
-            cols[v.name] = _equal_frequency_codes(ds.column(v.name), bins, v.name)
+            cols[v.name] = _equal_frequency_codes(ds.column(v.name), bins)
             v = replace(v, kind=Kind.DISCRETE, domain=None)
         metas.append(v)
     return Dataset(tuple(metas), cols, ds.sample_count)

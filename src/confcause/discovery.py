@@ -45,18 +45,6 @@ class Mark(str, Enum):
     CIRCLE = "circle"
 
 
-_DOT_ARROW = {Mark.TAIL: "none", Mark.ARROW: "normal", Mark.CIRCLE: "odot"}
-_DOT_SHAPE = {Role.OPTION: "box", Role.METRIC: "ellipse", Role.OBJECTIVE: "diamond"}
-
-
-def _dot_nodes(name: str, vertices: Iterable[VariableMeta]) -> list[str]:
-    """The first lines of a DOT digraph: its header and one node per vertex,
-    shaped by role."""
-    return [f"digraph {name} {{"] + [
-        f'  "{v.name}" [shape={_DOT_SHAPE[v.role]}];' for v in vertices
-    ]
-
-
 @dataclass(frozen=True)
 class PagEdge:
     """Edge with end marks; ``u < v`` lexicographically, ``mark_u`` at u's end."""
@@ -88,16 +76,6 @@ class Pag:
         sepsets = sorted(({"pair": sorted(pair), "separator": sorted(sep)}
                           for pair, sep in self.sepsets.items()), key=lambda s: s["pair"])
         return {**_record_json(self), "sepsets": sepsets}
-
-    def to_dot(self) -> str:
-        lines = _dot_nodes("pag", self.vertices)
-        for e in self.edges:
-            lines.append(
-                f'  "{e.u}" -> "{e.v}" [dir=both, arrowtail={_DOT_ARROW[e.mark_u]}, '
-                f"arrowhead={_DOT_ARROW[e.mark_v]}];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

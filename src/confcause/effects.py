@@ -141,7 +141,7 @@ def _coded_column(ds: Dataset, name: str, bins: int) -> np.ndarray:
     into equal-frequency levels, discrete kinds pass through."""
     if ds.meta(name).kind != Kind.CONTINUOUS:
         return ds.column(name).astype(np.int64)
-    return _equal_frequency_codes(ds.column(name), bins, name)
+    return _equal_frequency_codes(ds.column(name), bins)
 
 
 def ace_edge(
@@ -161,13 +161,15 @@ def ace_edge(
     Outcome values are used raw — never discretized. Strata with no data for
     a given treatment level are skipped and the stratum weights renormalized.
 
-    Raises UnidentifiableEffect when the treatment shares a bidirected edge
-    with the outcome or with an ancestor of the outcome (no adjustment set
-    can close that confounding), and EmptyDataset when there are no rows.
+    Raises BadBinCount when ``bins`` is below 2, UnidentifiableEffect when
+    the treatment shares a bidirected edge with the outcome or with an
+    ancestor of the outcome (no adjustment set can close that confounding),
+    and EmptyDataset when there are no rows.
 
     ``_codes`` keeps the level codes of each column across calls on the same
     dataset and ``bins``, so that :func:`cpwe` bins each column once.
     """
+    _check_bins(bins)
     for name in (treatment, outcome):
         admg.meta(name)
         ds.meta(name)
@@ -240,18 +242,6 @@ def ace_edge(
     )
 
 
-def path_ace(vertices: Sequence[str], edge_aces: Sequence[float]) -> float:
-    """Mean of the per-edge effect magnitudes along a path."""
-    if len(edge_aces) != len(vertices) - 1:
-        raise InputError(
-            f"path of {len(vertices)} vertices needs {len(vertices) - 1} edge "
-            f"effects, got {len(edge_aces)}",
-        )
-    if not edge_aces:
-        raise InputError("a path must contain at least one edge")
-    return float(np.mean([abs(a) for a in edge_aces]))
-
-
 # --------------------------------------------------------------------------
 # ranking
 
@@ -265,10 +255,12 @@ def cpwe(
 ) -> dict[str, Diagnosis]:
     """Rank causal paths per objective; an objective with no admissible paths
     maps to an empty diagnosis (single-objective callers treat that as an
-    error, see :func:`diagnose`). Each path step's effect is estimated once
-    per call, and each column binned once."""
+    error, see :func:`diagnose`). A path scores the mean magnitude of its
+    step effects. Each path step's effect is estimated once per call, and
+    each column binned once."""
     if top_k < 1:
         raise InputError(f"top_k must be >= 1, got {top_k}", top_k=top_k)
+    _check_bins(bins)
     if objectives is None:
         objectives = [v.name for v in admg.vertices if v.role == Role.OBJECTIVE]
     codes: dict[str, np.ndarray] = {}
@@ -290,9 +282,8 @@ def cpwe(
         scored = []
         for vertices in extract_paths(admg, objective):
             edge_vals = tuple(itertools.starmap(step_effect, zip(vertices, vertices[1:])))
-            scored.append(
-                CausalPath(vertices, objective, path_ace(vertices, edge_vals), edge_vals)
-            )
+            scored.append(CausalPath(vertices, objective,
+                                     float(np.mean(np.abs(edge_vals))), edge_vals))
         scored.sort(key=lambda p: (-p.path_ace, p.vertices))
         top = tuple(scored[:top_k])
         roots = tuple(dict.fromkeys(p.vertices[0] for p in top))

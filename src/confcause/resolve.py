@@ -17,9 +17,11 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Mapping
 
 from .dataset import Dataset, Role, VariableMeta, _Record
-from .discovery import Mark, Pag, StructuralConstraints, _dot_nodes, build_constraints
+from .discovery import Mark, Pag, StructuralConstraints, build_constraints
 from .errors import EngineError, InputError, UnknownVertex
 from .stats import contingency_table, count_bits, coupling_bits
+
+_DOT_SHAPE = {Role.OPTION: "box", Role.METRIC: "ellipse", Role.OBJECTIVE: "diamond"}
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,10 @@ class Admg(_Record):
         return cls(vertices, directed, bidirected, tuple(payload.get("notes", ())))
 
     def to_dot(self) -> str:
-        lines = _dot_nodes("model", self.vertices)
+        """The graph in DOT, one node per vertex shaped by role."""
+        lines = ["digraph model {"] + [
+            f'  "{v.name}" [shape={_DOT_SHAPE[v.role]}];' for v in self.vertices
+        ]
         for u, v in sorted(self.directed):
             lines.append(f'  "{u}" -> "{v}";')
         for pair in sorted(self.bidirected, key=sorted):

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cbi import cbi_root_causes, fault_labels_for
+from .cbi import cbi_rank, cbi_root_causes, fault_labels_for
 from .dataset import Dataset, Kind, Role, VariableMeta, _Record, _record_json
 from .effects import (
     Diagnosis,
@@ -131,10 +131,6 @@ def scm_from_mechanisms(
             bidirected.add(frozenset((a, b)))
     graph = Admg(tuple(variables), frozenset(directed), frozenset(bidirected))
     return Scm(tuple(variables), graph, dict(mechanisms), tuple(hidden), seed)
-
-
-def with_seed(scm: Scm, seed: int) -> Scm:
-    return replace(scm, seed=int(seed))
 
 
 def scale_edge(scm: Scm, edge: tuple[str, str], factor: float) -> Scm:
@@ -664,15 +660,11 @@ def run_benchmark(
         options = list(ds.options)
         care = cpwe(ds, admg, top_k=top_k, bins=params.bins)
         for entry in case.truth.faults:
-            ace_vals = {}
-            for o in options:
-                try:
-                    ace_vals[o] = ace_edge(ds, admg, o, entry.objective, bins=params.bins).value
-                except EngineError:
-                    ace_vals[o] = 0.0
-            labels = fault_labels_for(ds, entry.objective)
+            ace_vals = {o: ace_edge(ds, admg, o, entry.objective, bins=params.bins).value
+                        for o in options}
+            ranking = cbi_rank(ds, fault_labels_for(ds, entry.objective))
             cbi_diag = Diagnosis(
-                entry.objective, (), tuple(cbi_root_causes(ds, labels, top_k=top_k))
+                entry.objective, (), tuple(cbi_root_causes(ranking, top_k=top_k))
             )
             outcomes.append(
                 FaultOutcome(
@@ -720,8 +712,8 @@ def transfer_series(seed: int = 0, params: ModelParams = ModelParams()) -> list[
     1,200-run batches of shifted data."""
     base_seed, oracle_seed, *batch_seeds = _child_seeds(seed, 5)
     base, shifted = transfer_scm(base_seed)
-    oracle_scm = with_seed(shifted, oracle_seed)
-    old = sample(with_seed(base, base_seed), 1200)
+    oracle_scm = replace(shifted, seed=oracle_seed)
+    old = sample(base, 1200)
     pag, admg = learn_model(old, params)
     objective = "y"
     oracle = {
@@ -738,7 +730,7 @@ def transfer_series(seed: int = 0, params: ModelParams = ModelParams()) -> list[
     series = [current_rmse(old, admg)]
     sepsets = pag.sepsets
     for batch_seed in batch_seeds:
-        batch = sample(with_seed(shifted, batch_seed), 1200)
+        batch = sample(replace(shifted, seed=batch_seed), 1200)
         admg = update_model(admg, old, batch, params, prev_sepsets=sepsets)
         sepsets = None  # stale after the first refresh
         old = old.concat(batch)

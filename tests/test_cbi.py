@@ -227,12 +227,12 @@ class TestRanking:
 
     def test_root_causes_drop_zero_scores(self):
         ds, failing = _rank_dataset()
-        assert cbi_root_causes(ds, failing, top_k=4) == ["a"]
+        assert cbi_root_causes(cbi_rank(ds, failing), top_k=4) == ["a"]
 
     def test_no_failures_means_no_causes(self):
         ds, _ = _rank_dataset()
         none = np.zeros(ds.sample_count, dtype=bool)
-        assert cbi_root_causes(ds, none) == []
+        assert cbi_root_causes(cbi_rank(ds, none), top_k=4) == []
         # all-zero scores fall back to name order
         assert [name for name, _ in cbi_rank(ds, none)] == ["a", "b"]
 

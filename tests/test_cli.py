@@ -218,6 +218,19 @@ class TestDiagnose:
         assert code == 2
         assert "ghost" in err
 
+    @pytest.mark.parametrize("method", ["care", "cbi"])
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_is_exit_2(self, chain_files, tmp_path, capsys, method, top_k):
+        data, roles = chain_files
+        out_file = tmp_path / "diag.json"
+        code, _, err = run(
+            ["diagnose", "--data", data, "--roles", roles, "--objective", "latency",
+             "--method", method, "--top-k", top_k, "--out", out_file], capsys
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
+        assert not out_file.exists()
+
     def test_output_reproducible(self, chain_files, tmp_path, capsys):
         data, roles = chain_files
         blobs = []

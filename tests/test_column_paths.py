@@ -32,7 +32,7 @@ from confcause.dataset import (
     discretize,
     load_dataset,
 )
-from confcause.cbi import cbi_root_causes
+from confcause.cbi import cbi_rank
 from confcause.discovery import fci
 from confcause.effects import _coded_column, ace_edge
 from confcause.errors import EmptyDataset
@@ -136,7 +136,7 @@ def _reference_bin_codes(col, bins):
 @settings(max_examples=300, deadline=None)
 def test_equal_frequency_codes_match_binary_search(values, bins):
     col = np.asarray(values, dtype=np.float64)
-    got = dataset._equal_frequency_codes(col, bins, "x")
+    got = dataset._equal_frequency_codes(col, bins)
     want = _reference_bin_codes(col, bins)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
@@ -157,7 +157,7 @@ def test_equal_frequency_codes_match_binary_search(values, bins):
 def test_equal_frequency_codes_edge_cases(values, bins):
     col = np.asarray(values, dtype=np.float64)
     np.testing.assert_array_equal(
-        dataset._equal_frequency_codes(col, bins, "x"), _reference_bin_codes(col, bins)
+        dataset._equal_frequency_codes(col, bins), _reference_bin_codes(col, bins)
     )
 
 
@@ -363,9 +363,9 @@ def test_ace_edge_on_no_rows_raises_empty_dataset(treatment):
 
 @pytest.mark.parametrize("entry", [
     lambda ds: discretize(ds, 5),
-    lambda ds: cbi_root_causes(ds, np.zeros(0, dtype=bool)),
+    lambda ds: cbi_rank(ds, np.zeros(0, dtype=bool)),
     fci,
-], ids=["discretize", "cbi_root_causes", "fci"])
+], ids=["discretize", "cbi_rank", "fci"])
 def test_entries_on_no_rows_raise_empty_dataset(entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

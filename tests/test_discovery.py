@@ -395,14 +395,6 @@ def test_r9_needs_a_first_hop_apart_from_c(b_c):
     assert g.mark_at("c", "a") == (Mark.CIRCLE if b_c else Mark.TAIL)
 
 
-def test_dot_export_mentions_every_vertex():
-    pag = learn(chain_system(), n=1000)
-    dot = pag.to_dot()
-    for name in (v.name for v in pag.vertices):
-        assert f'"{name}"' in dot
-    assert dot.startswith("digraph")
-
-
 def _copied_metric(ds, source, name):
     """The dataset with one more metric, an exact copy of ``source``."""
     return Dataset(

@@ -12,10 +12,10 @@ from confcause.effects import (
     diagnose,
     extract_paths,
     learn_model,
-    path_ace,
     update_model,
 )
 from confcause.errors import (
+    BadBinCount,
     InputError,
     NoPathsFound,
     SchemaMismatch,
@@ -233,17 +233,23 @@ class TestAceEdge:
         assert est.n_treatment_levels == 1
 
 
-class TestPathAce:
-    def test_mean_of_magnitudes(self):
-        assert path_ace(("a", "b", "c"), (0.5, -1.5)) == pytest.approx(1.0)
+@pytest.fixture(scope="module")
+def discrete_strata():
+    """Runs of a small system under a model whose every treatment and
+    adjustment column is discrete, so no effect bins a column."""
+    ds = sample(generate_scm(2, 3, 1, 0.8, seed=7), 2000)
+    return ds, graph(ds.variables, directed=[("o01", "m01"), ("o01", "y01")])
 
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            path_ace(("a", "b", "c"), (0.5,))
 
-    def test_empty_path(self):
-        with pytest.raises(InputError):
-            path_ace(("a",), ())
+@pytest.mark.parametrize("bins", [1, 0, -3])
+def test_bin_count_below_two_fails_on_discrete_strata(discrete_strata, bins):
+    ds, admg = discrete_strata
+    with pytest.raises(BadBinCount):
+        ace_edge(ds, admg, "o01", "m01", bins=bins)
+    with pytest.raises(BadBinCount):
+        cpwe(ds, admg, bins=bins)
+    with pytest.raises(BadBinCount):
+        diagnose(ds, admg, "y01", bins=bins)
 
 
 # --------------------------------------------------------------------------
@@ -308,9 +314,11 @@ def test_cpwe_bins_each_column_once(monkeypatch):
     binned: list[str] = []
     real = effects._equal_frequency_codes
 
-    def counting(col, bins, name):
-        binned.append(name)
-        return real(col, bins, name)
+    name_of = {id(ds.column(n)): n for n in ds.names}
+
+    def counting(col, bins):
+        binned.append(name_of[id(col)])
+        return real(col, bins)
 
     monkeypatch.setattr(effects, "_equal_frequency_codes", counting)
     diags = cpwe(ds, admg)
@@ -324,6 +332,17 @@ def test_cpwe_bins_each_column_once(monkeypatch):
                 if (a, b) in admg.directed:
                     assert ace_edge(ds, admg, a, b).value == value
     assert len(binned) > len(set(binned))
+
+
+@pytest.mark.parametrize("seed", [2, 4, 10])
+def test_path_score_is_the_mean_step_magnitude(seed):
+    ds = sample(generate_scm(3, 8, 2, 0.4, seed=seed), 2000)
+    _, admg = learn_model(ds)
+    paths = [p for diag in cpwe(ds, admg, top_k=100).values() for p in diag.ranked_paths]
+    assert paths
+    for path in paths:
+        assert len(path.edge_aces) == len(path.vertices) - 1
+        assert path.path_ace == float(np.mean(np.abs(path.edge_aces)))
 
 
 def test_cpwe_estimates_each_directed_step_once(monkeypatch):

@@ -33,7 +33,6 @@ from confcause.synthbench import (
     total_linear_effect,
     transfer_scm,
     transfer_series,
-    with_seed,
 )
 
 from tiered_system import objective_variance_under, tiered_scm
@@ -100,11 +99,6 @@ class TestConstruction:
         assert scm.mechanisms["m"].weights == (2.0,)  # original untouched
         with pytest.raises(UnknownVertex):
             scale_edge(scm, ("y", "o"), 2.0)
-
-    def test_with_seed(self):
-        scm = chain_scm(seed=1)
-        assert with_seed(scm, 9).seed == 9
-        assert with_seed(scm, 9).mechanisms == scm.mechanisms
 
 
 class TestSampling:
